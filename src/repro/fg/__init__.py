@@ -17,8 +17,8 @@ from repro.fg.factors import (
 from repro.fg.features import FeatureVector, accumulate, scale, subtract, unit
 from repro.fg.graph import FactorGraph, GraphRepair
 from repro.fg.relational import bind_field_variables, flush_all, reload_all
+from repro.fg.slots import LocalScorer, build_scorer
 from repro.fg.templates import PairwiseTemplate, Template, UnaryTemplate, dedup_factors
-from repro.fg.vectorized import LocalScorer, build_scorer
 from repro.fg.variables import (
     FieldVariable,
     HiddenVariable,

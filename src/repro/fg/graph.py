@@ -11,22 +11,21 @@ each variable, the factors contributed by static (non-``dynamic``)
 templates are instantiated once on first touch and reused for the
 graph's lifetime — the structure of a static template cannot change, so
 ``factors_touching``/``local_score``/``score_delta`` reduce to a dict
-lookup plus (memoized) factor scoring instead of a scan over all
-templates with fresh allocations per step.  Dynamic templates are
-re-queried on every call, exactly as before.  :meth:`set_caching`
-disables both layers to recover the uncached reference behaviour
-(equivalence tests and benchmarks rely on bit-identical results), and
-code that mutates ``graph.templates`` in place after scoring has
-started must call :meth:`clear_caches` for the change to take effect.
+lookup plus factor scoring instead of a scan over all templates with
+fresh allocations per step.  Dynamic templates are re-queried on every
+call, exactly as before.  Code that mutates ``graph.templates`` in
+place after scoring has started must call :meth:`clear_caches` for the
+change to take effect.
 
-On top of the caches sits the **vectorized scoring layer**
-(:mod:`repro.fg.vectorized`): per-variable compiled scorers that turn a
+Scoring has two paths.  The **fast path** is the slot scorer
+(:mod:`repro.fg.slots`): per-variable compiled scorers that turn a
 single-variable ``score_delta`` (and the Gibbs conditional, via
 :meth:`local_conditional_scores`) into array lookups over the dense
-weight vector, with :meth:`score_delta_batch` amortizing K independent
-what-ifs.  :meth:`set_vectorized` is the escape hatch restoring the
-dict path bit-identically; variables whose adjacency offers no purity
-contract fall back automatically.
+weight list; variables whose adjacency offers no purity contract fall
+back to the plain loop over their cached adjacency.  The **reference
+path** is :meth:`set_caching` ``(False)``: every call re-instantiates
+factors and recomputes every feature dot product.  The two are
+bit-identical, which the equivalence tests and benchmarks rely on.
 
 Graphs are also **mutable in place** (live updates, ISSUE 5):
 :meth:`add_variables` / :meth:`remove_variables` /
@@ -62,7 +61,7 @@ from repro.errors import GraphError
 from repro.fg.factors import Factor
 from repro.fg.templates import Template, dedup_factors
 from repro.fg.variables import HiddenVariable
-from repro.fg.vectorized import LocalScorer, build_scorer
+from repro.fg.slots import LocalScorer, build_scorer
 
 __all__ = ["FactorGraph", "GraphRepair"]
 
@@ -134,9 +133,8 @@ class FactorGraph:
         self._flat_adjacency: Dict[Hashable, Tuple[Factor, ...]] = {}
         self._cache_enabled = True
         # variable name -> compiled LocalScorer (None = the variable's
-        # adjacency is ineligible; score through the reference path).
+        # adjacency is ineligible; score through the plain loop).
         self._scorers: Dict[Hashable, LocalScorer | None] = {}
-        self._vectorized = True
 
     # ------------------------------------------------------------------
     # Lookup
@@ -155,10 +153,10 @@ class FactorGraph:
     # ------------------------------------------------------------------
     def set_caching(self, enabled: bool) -> None:
         """Toggle the static adjacency cache, template instance pools
-        and score memoization in one go.  ``set_caching(False)``
-        restores the uncached reference behaviour: every call
-        re-instantiates factors and every score recomputes the feature
-        dot product.  Sampling results are bit-identical either way."""
+        and slot scorers in one go.  ``set_caching(False)`` restores the
+        uncached reference behaviour: every call re-instantiates factors
+        and every score recomputes the feature dot product.  Sampling
+        results are bit-identical either way."""
         self._cache_enabled = bool(enabled)
         self._static_adjacency.clear()
         self._flat_adjacency.clear()
@@ -169,23 +167,6 @@ class FactorGraph:
     @property
     def caching_enabled(self) -> bool:
         return self._cache_enabled
-
-    def set_vectorized(self, enabled: bool) -> None:
-        """Toggle the array-backed scoring path (on by default).
-
-        ``set_vectorized(False)`` is the escape hatch restoring the
-        reference dict path **bit-identically**: the vectorized scorer
-        is built so both paths produce equal floats (see
-        :mod:`repro.fg.vectorized`), so flipping this changes
-        performance, never results.  Vectorization also requires
-        caching: ``set_caching(False)`` implies the reference path.
-        """
-        self._vectorized = bool(enabled)
-        self._scorers.clear()
-
-    @property
-    def vectorized_enabled(self) -> bool:
-        return self._vectorized
 
     def clear_caches(self) -> None:
         """Drop cached adjacency and pooled instances (rebuilt lazily).
@@ -533,8 +514,8 @@ class FactorGraph:
             # Hot path: a single-variable proposal on a static graph
             # (no ``list(changes)`` materialization on this branch).
             [variable] = changes
-            if self._vectorized and self._cache_enabled:
-                # Array path: compiled per-variable scorer (blanket
+            if self._cache_enabled:
+                # Fast path: compiled per-variable slot scorer (blanket
                 # score cache + shared feature arrays + dense weights);
                 # bit-identical to the loop below by construction.
                 scorers = self._scorers
@@ -546,9 +527,9 @@ class FactorGraph:
                     scorers[name] = scorer
                 if scorer is not None:
                     return scorer.delta(changes[variable])
-            # Reference path: the flat cached adjacency needs no dict,
-            # no dedup and (in steady state) no allocation; summation
-            # order matches the generic path below so results stay
+            # Plain loop (ineligible variables, or caching off): the
+            # flat adjacency needs no dict and no dedup; summation order
+            # matches the generic path below so results stay
             # bit-identical.
             factors = self.adjacent_static(variable)
             before = 0.0
@@ -600,39 +581,19 @@ class FactorGraph:
             before += sum(f.score() for f in appeared if f.key in present)
         return after - before
 
-    def score_delta_batch(
-        self, proposals: Sequence[Dict[HiddenVariable, Any]]
-    ) -> List[float]:
-        """Score K independent what-if proposals against the *current*
-        world (each delta is relative to the live assignment, not to the
-        previous proposal in the batch).
-
-        On the vectorized path, proposals touching the same variable
-        amortize heavily: the "before" side is computed once per
-        Markov-blanket assignment and every candidate score lands in
-        the blanket cache, so K single-variable what-ifs cost one
-        adjacency walk plus K array lookups.  Multi-try MH kernels and
-        the Gibbs conditional both reduce to this access pattern.
-        """
-        return [self.score_delta(changes) for changes in proposals]
-
     def local_conditional_scores(self, variable: HiddenVariable) -> List[float]:
         """Unnormalized log-scores of ``variable``'s adjacent factors
         for every value in its domain (the Gibbs conditional's
         numerators), in domain order.  The live assignment is restored
         before returning.
 
-        The vectorized path serves all values from the blanket score
-        cache; the fallback re-scores per candidate exactly as the
-        reference Gibbs implementation always has, so both paths are
+        The slot scorer serves all values from the blanket score cache;
+        the fallback re-scores per candidate exactly as the reference
+        Gibbs implementation always has, so both paths are
         bit-identical.
         """
         values = variable.domain.values
-        if (
-            not self.has_dynamic_templates
-            and self._vectorized
-            and self._cache_enabled
-        ):
+        if not self.has_dynamic_templates and self._cache_enabled:
             scorers = self._scorers
             name = variable.name
             try:
@@ -653,8 +614,7 @@ class FactorGraph:
                     scores.append(self.local_score([variable]))
             else:
                 # Static structure: fetch the (cached) adjacent factors
-                # once and rescore them per candidate value — after the
-                # first sweep every factor score is a memo lookup.
+                # once and rescore them per candidate value.
                 factors = self.adjacent_static(variable)
                 for value in values:
                     variable.set_value(value)

@@ -1,15 +1,15 @@
-"""Array-backed local scoring: the vectorized hot path.
+"""Slot scoring: the fast local-scoring path.
 
 The MH inner loop spends nearly all of its time summing the scores of
 the handful of factors adjacent to one proposed variable, before and
-after the change.  The reference path does that with Python calls per
-factor — feature-dict construction on memo misses, tuple hashing, dict
-dot products.  This module compiles a variable's (static, cached)
-adjacency into a :class:`LocalScorer`: a flat record list where each
-log-linear factor is reduced to *(shared array cache, signature,
+after the change (paper Appendix 9.2).  The reference path does that
+with Python calls per factor — feature-dict construction, tuple
+hashing, dict dot products.  This module compiles a variable's (static,
+cached) adjacency into a :class:`LocalScorer`: a flat record list where
+each log-linear factor is reduced to *(shared array cache, signature,
 endpoints)* and scoring one candidate value is a few dict lookups plus
 index-and-multiply over the dense weight list — no feature dicts, no
-per-factor method calls.
+per-factor method calls.  Everything here is plain Python over lists.
 
 Three cache layers compose:
 
@@ -25,20 +25,21 @@ Three cache layers compose:
    {candidate value -> local score}``, keyed against the summed weights
    version so SampleRank's mid-run updates invalidate it wholesale.
 
-Bit-identity with the reference dict path is a hard contract, relied on
-by ``set_vectorized(False)`` and the equivalence suite.  Two rules make
-it hold: per-factor sums accumulate term-by-term in feature insertion
-order (never flattened across factors, never reassociated), and the
-only numeric difference ever introduced — including a ``0.0``-weight
-term the sparse dot skips — perturbs at most the *sign of zero*, which
+Bit-identity with the uncached reference path
+(:meth:`repro.fg.graph.FactorGraph.set_caching` ``(False)``) is a hard
+contract, relied on by the equivalence suite.  Two rules make it hold:
+per-factor sums accumulate term-by-term in feature insertion order
+(never flattened across factors, never reassociated), and the only
+numeric difference ever introduced — including a ``0.0``-weight term
+the sparse dot skips — perturbs at most the *sign of zero*, which
 ``==``, ``math.exp`` and every acceptance comparison ignore.
 
 Eligibility is conservative: a scorer is built only when every adjacent
 factor is either a ``stable`` :class:`LogLinearFactor` or a value-pure
 :class:`TableFactor`/:class:`ConstraintFactor`.  Anything else (unknown
 factor subclasses, unstable features) makes
-:meth:`repro.fg.graph.FactorGraph.score_delta` fall back to the
-reference path for that variable.
+:meth:`repro.fg.graph.FactorGraph.score_delta` fall back to the plain
+flat-adjacency loop for that variable.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ def build_scorer(
     """Compile ``variable``'s adjacent factor list into a scorer.
 
     Returns ``None`` when any factor lacks a purity contract (see
-    module docstring); the caller then stays on the reference path.
+    module docstring); the caller then scores the plain adjacency loop.
     Record order follows ``factors`` so score sums associate exactly as
     the reference loop's.
     """
@@ -109,8 +110,7 @@ def build_scorer(
                 )
                 continue
             # Stable but not array-addressable from this variable (higher
-            # arity, arrays disabled): score through the memoized
-            # reference path instead.
+            # arity, arrays disabled): score through factor.score().
             records.append((0, factor))
             if any(e is variable for e in endpoints):
                 needs_set = True

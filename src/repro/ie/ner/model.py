@@ -226,10 +226,10 @@ class SkipChainNerModel:
         # All four templates are static (the factor set is fixed by the
         # corpus) and their features read only the endpoints' label
         # values plus per-token constants, so stable_features=True lets
-        # every factor memoize (label values) -> score across the walk.
+        # the slot scorer cache (label values) -> score across the walk.
         # Signature functions declare the per-factor constants each
         # feature function reads, unlocking template-wide sharing of
-        # the vectorized scorer's feature arrays (bound methods, like
+        # the slot scorer's feature arrays (bound methods, like
         # the feature functions, so everything still pickles).
         self._transition_template = PairwiseTemplate(
             TRANSITION, self.weights, self._chain_neighbors,

@@ -126,7 +126,7 @@ class SampleRankTrainer:
                 self._update(features_before, features_after)
         else:
             # Static structure: score the two worlds first — a pure
-            # what-if through the graph's vectorized hot path — and
+            # what-if through the graph's slot-scorer hot path — and
             # collect sufficient statistics only when the ranking
             # disagreement actually fires an update.  Most steps agree,
             # so the feature-dict work disappears from the walk; the

@@ -48,7 +48,7 @@ class GibbsSampler:
 
         Scoring goes through
         :meth:`repro.fg.graph.FactorGraph.local_conditional_scores`, so
-        static graphs get the vectorized blanket-cached path (all K
+        static graphs get the slot scorer's blanket-cached path (all K
         candidate values amortize one adjacency walk) while dynamic
         graphs re-instantiate per candidate exactly as before — the
         score lists are bit-identical either way.

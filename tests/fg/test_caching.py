@@ -1,12 +1,14 @@
 """Unit tests for the factor-graph hot-path caches (ISSUE 3).
 
-Covers the three layers introduced by the overhaul:
+Covers the layers the slot scorer builds on:
 
 * template instance pools (static ``factors_for`` returns the same
   factor objects for the graph's lifetime);
 * the graph's static adjacency cache (``adjacent_static`` /
   ``factors_touching`` stop scanning templates);
-* per-factor score memoization keyed against ``Weights.version``.
+* the ``Weights.version`` counter the scorers' caches are keyed on.
+
+The slot scorer itself is covered in ``test_vectorized.py``.
 """
 
 import pickle
@@ -25,23 +27,15 @@ from repro.fg import (
 BIN = Domain("bin", ["0", "1"])
 
 
-class CountingFeatures:
-    """A picklable feature function that counts invocations."""
-
-    def __init__(self):
-        self.calls = 0
+class FieldFeatures:
+    """A picklable unary feature function."""
 
     def __call__(self, variable):
-        self.calls += 1
         return {("on", variable.value): 1.0}
 
 
-class CountingPairFeatures:
-    def __init__(self):
-        self.calls = 0
-
+class PairFeatures:
     def __call__(self, a, b):
-        self.calls += 1
         return {("agree", a.value == b.value): 1.0}
 
 
@@ -63,21 +57,17 @@ class ChainNeighbors:
         return out
 
 
-def make_chain(n=3, stable=None):
+def make_chain(n=3):
     weights = Weights()
     weights.set("field", ("on", "1"), 0.5)
     weights.set("pair", ("agree", True), 1.0)
     variables = [HiddenVariable(f"v{i}", BIN, "0") for i in range(n)]
-    unary_fn = CountingFeatures()
-    pair_fn = CountingPairFeatures()
-    neighbors = ChainNeighbors(variables)
-
     templates = [
-        UnaryTemplate("field", weights, unary_fn, stable_features=stable),
-        PairwiseTemplate("pair", weights, neighbors, pair_fn, stable_features=stable),
+        UnaryTemplate("field", weights, FieldFeatures()),
+        PairwiseTemplate("pair", weights, ChainNeighbors(variables), PairFeatures()),
     ]
     graph = FactorGraph(variables, templates)
-    return graph, variables, weights, unary_fn, pair_fn
+    return graph, variables, weights
 
 
 class TestInstancePools:
@@ -135,48 +125,6 @@ class TestInstancePools:
             f.score() for f in uncached.values()
         ]
 
-
-class TestScoreMemoization:
-    def test_repeat_scoring_hits_memo(self):
-        graph, variables, _, unary_fn, _ = make_chain(1)
-        factor = graph.adjacent_static(variables[0])[0]
-        factor.score()
-        calls = unary_fn.calls
-        factor.score()
-        factor.score()
-        assert unary_fn.calls == calls  # memo hit: no feature recompute
-
-    def test_memo_keyed_by_value(self):
-        graph, variables, *_ = make_chain(1)
-        factor = graph.adjacent_static(variables[0])[0]
-        low = factor.score()
-        variables[0].set_value("1")
-        high = factor.score()
-        variables[0].set_value("0")
-        assert factor.score() == low
-        assert high != low
-
-    @pytest.mark.parametrize("mutate", ["set", "update"])
-    def test_weight_mutation_invalidates_memo(self, mutate):
-        graph, variables, weights, *_ = make_chain(1)
-        factor = graph.adjacent_static(variables[0])[0]
-        variables[0].set_value("1")
-        before = factor.score()
-        if mutate == "set":
-            weights.set("field", ("on", "1"), 2.5)
-        else:
-            weights.update("field", {("on", "1"): 1.0}, 2.0)
-        after = factor.score()
-        assert after == weights.dot("field", factor.features())
-        assert after != before
-
-    def test_stable_false_disables_memo(self):
-        graph, variables, _, unary_fn, _ = make_chain(1, stable=False)
-        factor = graph.adjacent_static(variables[0])[0]
-        factor.score()
-        factor.score()
-        assert unary_fn.calls == 2
-
     def test_score_matches_uncached_reference(self):
         graph, variables, *_ = make_chain(3)
         for assignment in (["0", "1", "0"], ["1", "1", "1"]):
@@ -186,6 +134,21 @@ class TestScoreMemoization:
             graph.set_caching(False)
             assert graph.score() == cached
             graph.set_caching(True)
+
+    @pytest.mark.parametrize("mutate", ["set", "update"])
+    def test_weight_mutation_reaches_pooled_factor(self, mutate):
+        graph, variables, weights = make_chain(1)
+        factor = graph.adjacent_static(variables[0])[0]
+        variables[0].set_value("1")
+        before = factor.score()
+        if mutate == "set":
+            weights.set("field", ("on", "1"), 2.5)
+        else:
+            weights.update("field", {("on", "1"): 1.0}, 2.0)
+        assert graph.adjacent_static(variables[0])[0] is factor
+        after = factor.score()
+        assert after == weights.dot("field", factor.features())
+        assert after != before
 
 
 class TestWeightsVersion:
@@ -218,7 +181,7 @@ class TestWeightsVersion:
 class TestPickling:
     def test_warmed_graph_pickles_and_caches_rebuild(self):
         graph, variables, *_ = make_chain()
-        graph.score()  # warm pools, adjacency and memos
+        graph.score()  # warm pools and adjacency
         expected = graph.score()
         clone = pickle.loads(pickle.dumps((graph, variables)))[0]
         assert clone._static_adjacency == {}

@@ -1,11 +1,12 @@
-"""Unit tests for the array-backed local scorer (ISSUE 9 tentpole).
+"""Unit tests for the slot scorer (:mod:`repro.fg.slots`).
 
-The vectorized path is an *optimization*, so every test here is an
+The slot scorer is an *optimization*, so every test here is an
 equivalence or lifecycle test: eligibility decisions, cache
-invalidation on weight updates and structural repair, the
-``set_vectorized(False)`` escape hatch, and the two new graph APIs
-(``score_delta_batch``, ``local_conditional_scores``).  The end-to-end
-bit-identity runs live in ``tests/integration``.
+invalidation on weight updates and structural repair, agreement with
+the dict-dot reference path (``set_caching(False)``), and
+``local_conditional_scores``.  The end-to-end bit-identity runs live in
+``tests/integration/test_cache_equivalence.py`` and
+``tests/integration/test_vectorized_equivalence.py``.
 """
 
 import math
@@ -100,10 +101,11 @@ class TestEligibility:
         graph.templates[0].stable_features = False
         graph.clear_caches()
         v = variables[0]
-        vectorized = graph.score_delta({v: "1"})
-        graph.set_vectorized(False)
+        fallback = graph.score_delta({v: "1"})
+        assert graph._scorers[v.name] is None
+        graph.set_caching(False)
         reference = graph.score_delta({v: "1"})
-        assert vectorized == reference
+        assert fallback == reference
 
 
 class TestDeltaCorrectness:
@@ -120,10 +122,11 @@ class TestDeltaCorrectness:
         graph, variables, _ = make_chain(n=5)
         variables[1].set_value("1")
         moves = [(v, value) for v in variables for value in v.domain]
-        vectorized = [graph.score_delta({v: val}) for v, val in moves]
-        graph.set_vectorized(False)
+        fast = [graph.score_delta({v: val}) for v, val in moves]
+        assert all(graph._scorers[v.name] is not None for v in variables)
+        graph.set_caching(False)
         reference = [graph.score_delta({v: val}) for v, val in moves]
-        assert vectorized == reference
+        assert fast == reference
 
 
 class TestInvalidation:
@@ -135,6 +138,10 @@ class TestInvalidation:
         second = graph.score_delta({v: "1"})
         assert second != first
         assert second == pytest.approx(brute_delta(graph, v, "1"))
+        weights.update("field", {"on": 1.0}, 1.5)
+        third = graph.score_delta({v: "1"})
+        assert third != second
+        assert third == pytest.approx(brute_delta(graph, v, "1"))
 
     def test_noop_weight_set_keeps_cache_valid(self):
         graph, variables, weights = make_chain()
@@ -166,18 +173,6 @@ class TestInvalidation:
 
 
 class TestEscapeHatch:
-    def test_toggle_round_trip(self):
-        graph, variables, _ = make_chain()
-        assert graph.vectorized_enabled
-        v = variables[0]
-        on = graph.score_delta({v: "1"})
-        graph.set_vectorized(False)
-        assert not graph.vectorized_enabled
-        off = graph.score_delta({v: "1"})
-        graph.set_vectorized(True)
-        again = graph.score_delta({v: "1"})
-        assert on == off == again
-
     def test_disabling_caching_disables_scorers(self):
         graph, variables, _ = make_chain()
         graph.set_caching(False)
@@ -185,26 +180,20 @@ class TestEscapeHatch:
         assert graph.score_delta({v: "1"}) == pytest.approx(
             brute_delta(graph, v, "1")
         )
+        assert not graph._scorers
 
 
 class TestBatchAndConditional:
-    def test_score_delta_batch_matches_sequential(self):
-        graph, variables, _ = make_chain(n=4)
-        proposals = [{v: "1"} for v in variables] + [{variables[0]: "0"}]
-        batch = graph.score_delta_batch(proposals)
-        sequential = [graph.score_delta(p) for p in proposals]
-        assert batch == sequential
-
     def test_local_conditional_scores_match_dict_path(self):
         graph, variables, _ = make_chain(n=4)
         variables[3].set_value("1")
         for v in variables:
-            vectorized = graph.local_conditional_scores(v)
-            graph.set_vectorized(False)
+            fast = graph.local_conditional_scores(v)
+            graph.set_caching(False)
             reference = graph.local_conditional_scores(v)
-            graph.set_vectorized(True)
-            assert vectorized == reference
-            assert len(vectorized) == len(v.domain)
+            graph.set_caching(True)
+            assert fast == reference
+            assert len(fast) == len(v.domain)
 
     def test_conditional_scores_shift_consistently(self):
         # Score differences between candidates must equal score_delta.
@@ -262,5 +251,4 @@ class TestPickling:
         before = graph.score_delta({v: "1"})
         clone, clone_vars = pickle.loads(pickle.dumps((graph, variables)))
         clone_v = next(u for u in clone_vars if u.name == v.name)
-        assert clone.vectorized_enabled
         assert clone.score_delta({clone_v: "1"}) == before

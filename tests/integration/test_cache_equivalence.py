@@ -1,12 +1,18 @@
-"""Cache-enabled inference must be bit-identical to the uncached
-reference (ISSUE 3 acceptance).
+"""The fast scoring path must be bit-identical to the reference.
 
-Each test runs the same seeded inference twice — once with the static
-adjacency cache + score memoization enabled (the default) and once with
+Each test runs the same seeded inference twice — once on the fast path
+(the default: static adjacency cache, pooled instances and the slot
+scorer of :mod:`repro.fg.slots`) and once on the reference path,
 ``FactorGraph.set_caching(False)`` — and asserts *exactly* equal
-results: trajectories, acceptance counts, marginals, learned weights.
-Any floating-point divergence (different summation order, stale memo)
-fails these tests.
+results under ``==``: trajectories, acceptance counts, marginals,
+learned weights.  The slot scorer re-associates no sums and draws
+nothing from the RNG, so any divergence (a wrong slot, a stale blanket
+cache, a different summation order) fails these tests.
+
+SampleRank is the adversarial case: it mutates the weights mid-walk, so
+a scorer holding on to stale dense values would silently corrupt the
+update sequence.  Coref exercises the dynamic-template fallback: no
+scorer is ever built there, so caching on must still change nothing.
 """
 
 from repro.bench import make_task
@@ -25,12 +31,18 @@ from repro.mcmc.proposal import UniformLabelProposer
 QUERY = "SELECT COUNT(*) FROM TOKEN WHERE LABEL='B-PER'"
 
 
+def _scorer_count(graph):
+    """How many variables were scored through a compiled slot scorer."""
+    return sum(scorer is not None for scorer in graph._scorers.values())
+
+
 def _ner_run(cached: bool):
     task = make_task(600, steps_per_sample=150)
     instance = task.make_instance(7)
     instance.kernel.graph.set_caching(cached)
     evaluator = instance.evaluator([QUERY])
     evaluator.run(10)
+    assert (_scorer_count(instance.kernel.graph) > 0) == cached
     world = tuple(v.value for v in instance.model.variables)
     return (
         world,
@@ -49,6 +61,9 @@ class TestNerMetropolis:
 
 
 class TestCorefDynamicTemplates:
+    """Dynamic templates never compile a scorer; caching must still be
+    a no-op on the results."""
+
     def _run(self, proposer_cls, cached: bool):
         db = build_mention_database(
             generate_mentions(6, mentions_per_entity=3, seed=4)
@@ -59,6 +74,7 @@ class TestCorefDynamicTemplates:
             model.graph, proposer_cls(model.variables), seed=11
         )
         kernel.run(2500)
+        assert _scorer_count(model.graph) == 0
         return tuple(v.value for v in model.variables), kernel.stats.accepted
 
     def test_move_mention_bit_identical(self):
@@ -81,15 +97,16 @@ class TestGibbs:
             instance.kernel.graph.set_caching(cached)
             sampler = GibbsSampler(instance.model.graph, seed=5)
             sampler.run(1200)
+            assert (_scorer_count(instance.model.graph) > 0) == cached
             worlds.append(tuple(v.value for v in instance.model.variables))
         assert worlds[0] == worlds[1]
 
 
 class TestSampleRankInvalidation:
-    """Mid-run ``Weights.update`` calls must invalidate memoized scores:
-    if a stale score survived an update, the walk (and hence the
-    update sequence and final weights) would diverge from the uncached
-    reference."""
+    """Mid-run ``Weights.update`` calls must invalidate the scorers'
+    blanket caches through ``Weights.version``: if a stale score
+    survived an update, the walk (and hence the update sequence and
+    final weights) would diverge from the uncached reference."""
 
     def _train(self, cached: bool):
         task = make_task(500, steps_per_sample=100, weight_mode="zero")
@@ -104,6 +121,8 @@ class TestSampleRankInvalidation:
             seed=9,
         )
         stats = trainer.train(3000)
+        assert stats.updates > 0
+        assert (_scorer_count(instance.model.graph) > 0) == cached
         return (
             stats.updates,
             stats.accepted,

@@ -14,8 +14,9 @@ escape hatch —
   sampler: frozen groups must provably never move, and marginals must
   agree statistically.
 
-The matrix spans NER and coref, across plain, score-cache-off,
-vectorized-off, sharded and live (post-DML) execution.
+The matrix spans NER and coref, across plain, score-cache-off
+(the reference scoring path), slot-scorers-off (the fallback loop),
+sharded and live (post-DML) execution.
 """
 
 import statistics
@@ -83,9 +84,11 @@ class TestNerBitIdentity:
         off = lambda pipe: pipe.instance.kernel.graph.set_caching(False)
         assert self._marginals(True, off) == self._marginals(False, off)
 
-    def test_vectorized_off(self):
-        off = lambda pipe: pipe.instance.kernel.graph.set_vectorized(False)
-        assert self._marginals(True, off) == self._marginals(False, off)
+    def test_vectorized_off(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.fg.graph.build_scorer", lambda variable, factors: None
+        )
+        assert self._marginals(True) == self._marginals(False)
 
     def test_sharded(self):
         a = rows(ner(seed=4).session.execute(UNCERTAIN_QUERY, samples=6, shards=2))

@@ -1,18 +1,22 @@
-"""Vectorized scoring must be bit-identical to the dict path (ISSUE 9).
+"""The slot scorer must be bit-identical to the plain adjacency loop.
 
-Mirror of ``test_cache_equivalence.py`` one layer up: each test runs the
-same seeded inference twice — once with the array-backed local scorers
-enabled (the default) and once through the ``set_vectorized(False)``
-escape hatch — and asserts *exactly* equal results.  The vectorized
-path re-associates no sums and draws nothing from the RNG, so any
-divergence (a wrong slot, a stale blanket cache, an extra rounding
-step) fails these tests under ``==``, not ``approx``.
+With caching on, ``FactorGraph.score_delta`` scores a variable through
+its compiled slot scorer (:mod:`repro.fg.slots`) and falls back to the
+flat-adjacency loop for variables the scorer cannot compile.  Each test
+here runs the same seeded inference twice with caching on — once with
+scorers compiled (the default) and once with ``build_scorer`` patched
+to decline every variable, so the whole walk takes the fallback loop —
+and asserts *exactly* equal results under ``==``.
 
-SampleRank is the adversarial case: it mutates the weights mid-walk, so
-a scorer holding on to stale dense values would silently corrupt the
-update sequence.  Coref exercises the dynamic-template fallback (no
-scorer is ever built there; the toggle must still be a no-op).
+This pins the fallback loop, which production reaches only for
+ineligible variables, to the fast path on models where every variable
+is eligible.  ``test_cache_equivalence.py`` compares the same scenarios
+against the uncached reference, ``set_caching(False)``.
 """
+
+import contextlib
+
+import pytest
 
 from repro.bench import make_task
 from repro.ie.coref import (
@@ -30,12 +34,27 @@ from repro.mcmc.proposal import UniformLabelProposer
 QUERY = "SELECT COUNT(*) FROM TOKEN WHERE LABEL='B-PER'"
 
 
-def _ner_run(vectorized: bool):
-    task = make_task(600, steps_per_sample=150)
-    instance = task.make_instance(7)
-    instance.kernel.graph.set_vectorized(vectorized)
-    evaluator = instance.evaluator([QUERY])
-    evaluator.run(10)
+@contextlib.contextmanager
+def scorers(enabled: bool):
+    """Run the body with slot scorers compiled, or with every variable
+    sent to the fallback loop."""
+    with pytest.MonkeyPatch.context() as mp:
+        if not enabled:
+            mp.setattr("repro.fg.graph.build_scorer", lambda variable, factors: None)
+        yield
+
+
+def _scorer_count(graph):
+    return sum(scorer is not None for scorer in graph._scorers.values())
+
+
+def _ner_run(slots: bool):
+    with scorers(slots):
+        task = make_task(600, steps_per_sample=150)
+        instance = task.make_instance(7)
+        evaluator = instance.evaluator([QUERY])
+        evaluator.run(10)
+        assert (_scorer_count(instance.kernel.graph) > 0) == slots
     world = tuple(v.value for v in instance.model.variables)
     return (
         world,
@@ -46,26 +65,28 @@ def _ner_run(vectorized: bool):
 
 class TestNerMetropolis:
     def test_marginals_bit_identical(self):
-        vec_world, vec_accepted, vec_marginals = _ner_run(True)
+        slot_world, slot_accepted, slot_marginals = _ner_run(True)
         world, accepted, marginals = _ner_run(False)
-        assert vec_world == world
-        assert vec_accepted == accepted
-        assert vec_marginals == marginals
+        assert slot_world == world
+        assert slot_accepted == accepted
+        assert slot_marginals == marginals
 
 
 class TestCorefDynamicTemplates:
-    """Dynamic templates never vectorize; the toggle must change nothing."""
+    """Dynamic templates never compile a scorer; declining them must
+    change nothing."""
 
-    def _run(self, proposer_cls, vectorized: bool):
-        db = build_mention_database(
-            generate_mentions(6, mentions_per_entity=3, seed=4)
-        )
-        model = CorefModel(db)
-        model.graph.set_vectorized(vectorized)
-        kernel = MetropolisHastings(
-            model.graph, proposer_cls(model.variables), seed=11
-        )
-        kernel.run(2500)
+    def _run(self, proposer_cls, slots: bool):
+        with scorers(slots):
+            db = build_mention_database(
+                generate_mentions(6, mentions_per_entity=3, seed=4)
+            )
+            model = CorefModel(db)
+            kernel = MetropolisHastings(
+                model.graph, proposer_cls(model.variables), seed=11
+            )
+            kernel.run(2500)
+            assert _scorer_count(model.graph) == 0
         return tuple(v.value for v in model.variables), kernel.stats.accepted
 
     def test_move_mention_bit_identical(self):
@@ -82,12 +103,13 @@ class TestCorefDynamicTemplates:
 class TestGibbs:
     def test_trajectory_bit_identical(self):
         worlds = []
-        for vectorized in (True, False):
-            task = make_task(400, steps_per_sample=100)
-            instance = task.make_instance(3)
-            instance.kernel.graph.set_vectorized(vectorized)
-            sampler = GibbsSampler(instance.model.graph, seed=5)
-            sampler.run(1200)
+        for slots in (True, False):
+            with scorers(slots):
+                task = make_task(400, steps_per_sample=100)
+                instance = task.make_instance(3)
+                sampler = GibbsSampler(instance.model.graph, seed=5)
+                sampler.run(1200)
+                assert (_scorer_count(instance.model.graph) > 0) == slots
             worlds.append(tuple(v.value for v in instance.model.variables))
         assert worlds[0] == worlds[1]
 
@@ -96,21 +118,23 @@ class TestSampleRankMidRunUpdates:
     """Weight mutations mid-walk must invalidate the scorers' blanket
     caches through ``Weights.version``: a stale cached score would
     change an update decision, and the weight trajectories would
-    diverge from the dict reference."""
+    diverge from the fallback loop's."""
 
-    def _train(self, vectorized: bool):
-        task = make_task(500, steps_per_sample=100, weight_mode="zero")
-        instance = task.make_instance(2)
-        weights = instance.model.weights
-        instance.model.graph.set_vectorized(vectorized)
-        trainer = SampleRankTrainer(
-            instance.model.graph,
-            UniformLabelProposer(instance.model.variables),
-            HammingObjective(instance.model.truth),
-            weights,
-            seed=9,
-        )
-        stats = trainer.train(3000)
+    def _train(self, slots: bool):
+        with scorers(slots):
+            task = make_task(500, steps_per_sample=100, weight_mode="zero")
+            instance = task.make_instance(2)
+            weights = instance.model.weights
+            trainer = SampleRankTrainer(
+                instance.model.graph,
+                UniformLabelProposer(instance.model.variables),
+                HammingObjective(instance.model.truth),
+                weights,
+                seed=9,
+            )
+            stats = trainer.train(3000)
+            assert stats.updates > 0
+            assert (_scorer_count(instance.model.graph) > 0) == slots
         return (
             stats.updates,
             stats.accepted,
@@ -124,15 +148,15 @@ class TestSampleRankMidRunUpdates:
 
 
 class TestCrossToggleWithCaching:
-    """All four cache-layer combinations agree: (vectorized, caching)
-    in {on,off}² — the escape hatches compose."""
+    """All three scoring routes agree: (slots, caching) in {on,off}²,
+    where caching off is the reference whatever the scorers do."""
 
-    def _run(self, vectorized: bool, cached: bool):
-        task = make_task(400, steps_per_sample=100)
-        instance = task.make_instance(5)
-        instance.kernel.graph.set_caching(cached)
-        instance.kernel.graph.set_vectorized(vectorized)
-        instance.kernel.run(1500)
+    def _run(self, slots: bool, cached: bool):
+        with scorers(slots):
+            task = make_task(400, steps_per_sample=100)
+            instance = task.make_instance(5)
+            instance.kernel.graph.set_caching(cached)
+            instance.kernel.run(1500)
         return (
             tuple(v.value for v in instance.model.variables),
             instance.kernel.stats.accepted,
@@ -140,8 +164,8 @@ class TestCrossToggleWithCaching:
 
     def test_all_combinations_agree(self):
         results = {
-            (vec, cached): self._run(vec, cached)
-            for vec in (True, False)
+            (slots, cached): self._run(slots, cached)
+            for slots in (True, False)
             for cached in (True, False)
         }
         reference = results[(False, False)]
