@@ -9,10 +9,10 @@ door: one object that answers every statement class from SQL strings —
   possible world (observed by any attached delta recorders).  When the
   attached model is live-capable, the statement's delta additionally
   *repairs* the factor graph in place — chain state for untouched
-  variables carries over — while runners holding independent world
-  copies (parallel/sharded) are invalidated and rebuilt from the
-  updated database on their next execution (see
-  :mod:`repro.core.live`);
+  variables carries over — and runners holding independent world
+  copies (parallel/sharded) advance each copy by the same delta in
+  place, falling back to a rebuild from the updated database only
+  when a copy cannot follow it (see :mod:`repro.core.live`);
 * **deterministic queries** — ``SELECT`` evaluated once against the
   current world;
 * **probabilistic queries** — the same ``SELECT`` executed with
@@ -71,7 +71,7 @@ from repro.db.sql.ast import SelectStmt, Statement
 from repro.db.sql.compiler import compile_select
 from repro.db.sql.executor import execute_dml, execute_statement
 from repro.db.sql.parser import parse_script, parse_statement
-from repro.errors import EvaluationError, QueryError, SessionBusyError
+from repro.errors import EvaluationError, QueryError, ReproError, SessionBusyError
 from repro.fg.graph import GraphRepair
 from repro.mcmc.chain import MarkovChain
 from repro.mcmc.metropolis import MetropolisHastings
@@ -84,6 +84,10 @@ __all__ = ["Session", "connect"]
 # Builds one chain's world and sampler for parallel evaluation:
 # ``factory(index) -> (database_copy, chain)``.
 ChainFactory = Callable[[int], Tuple[Database, MarkovChain]]
+
+# Runner kinds holding their own world copies (the runner-cache key's
+# second field).
+_MULTI_WORLD = ("parallel", "sharded")
 
 _EVALUATOR_CLASSES = {
     "materialized": MaterializedEvaluator,
@@ -170,6 +174,7 @@ class _ParallelRunner:
         backend: str,
         evaluator_cls: type = MaterializedEvaluator,
         resilience: Optional[ResilienceConfig] = None,
+        follows_session: bool = False,
     ):
         self.backend = make_backend(backend, resilience=resilience)
         # In-process chains reuse the compiled plan; worker processes
@@ -177,6 +182,10 @@ class _ParallelRunner:
         # (plans are not part of the pickled snapshot contract).
         query = plan if backend == "sequential" else sql
         self.backend.start(factory, chains, [query], evaluator_cls)
+        self.chains = chains
+        # Whether the chains' worlds are copies of the session database
+        # (a rebased factory); only those can follow its deltas.
+        self.follows_session = follows_session
         self._first = True
 
     def run(self, samples: int, burn_in: int = 0) -> EvaluationResult:
@@ -185,6 +194,17 @@ class _ParallelRunner:
         return self.backend.run(
             samples, burn_in=burn_in, include_initial=include_initial
         )
+
+    def advance(self, delta: Delta, repair: Any = None, graph: Any = None) -> None:
+        """Send the whole delta to every chain (each holds a full world
+        copy); the repaired worlds count as the next initial sample."""
+        if not self.follows_session:
+            raise EvaluationError(
+                "the chain factory cannot rebase, so its worlds are not "
+                "copies of the session database"
+            )
+        self.backend.advance([delta] * self.chains)
+        self._first = True
 
     def dispose(self) -> None:
         self.backend.close()
@@ -243,6 +263,13 @@ class _ShardedRunner:
             samples, burn_in=burn_in, include_initial=include_initial
         )
 
+    def advance(self, delta: Delta, repair: Any = None, graph: Any = None) -> None:
+        """Route the delta to the shards that own its rows
+        (:meth:`ShardedEvaluator.advance`); the repaired worlds count
+        as the next initial sample."""
+        self.evaluator.advance(delta, repair, graph)
+        self._first = True
+
     def dispose(self) -> None:
         self.evaluator.close()
 
@@ -282,6 +309,13 @@ class Session:
         self._chain_factory: Optional[ChainFactory] = None
         self._shard_factory: Optional[ShardChainFactory] = None
         self._live: Optional[LiveRunner] = None
+        # How DML reached the multi-world runners: advanced in place, or
+        # disposed for a rebuild (with the last fallback's reason).
+        self._dml_routing: dict[str, Any] = {
+            "delta_advances": 0,
+            "rebuilds": 0,
+            "last_fallback": None,
+        }
         self._closed = False
         # Single-owner guard: a session is not a concurrent object (its
         # runner cache, plan cache and live state are all unlocked), so
@@ -432,9 +466,8 @@ class Session:
         historical meaning: everything that is *not* multi-world
         (single-chain runners)."""
         if kinds is None:
-            multi = ("parallel", "sharded")
-            kinds = multi if parallel else tuple(
-                k[1] for k in self._runners if k[1] not in multi
+            kinds = _MULTI_WORLD if parallel else tuple(
+                k[1] for k in self._runners if k[1] not in _MULTI_WORLD
             )
         for key in [k for k in self._runners if k[1] in kinds]:
             _dispose_runner(self._runners.pop(key))
@@ -473,7 +506,8 @@ class Session:
     # Live updates (DML routing)
     # ------------------------------------------------------------------
     def _after_dml(self, delta: Delta) -> None:
-        """Repair-or-invalidate cached probabilistic state after DML.
+        """Repair, advance or invalidate cached probabilistic state
+        after DML.
 
         The invariant this enforces: **after any world-changing DML, no
         cached runner keeps serving marginals that predate the
@@ -488,15 +522,23 @@ class Session:
           the fresh initial sample) when a repair happened, and
           invalidated otherwise.
         * Parallel and sharded runners hold independent world copies
-          (possibly in worker processes) that the DML never reached:
-          they are always invalidated.  On the next execution, sharded
-          runners re-split the session's current database; parallel
-          runners rebuild through the chain factory — from the current
-          world when the factory supports ``rebased`` (e.g.
-          :class:`~repro.ie.ner.pdb.SeededChainFactory`), otherwise
-          from whatever world the factory itself encodes (fresh
-          estimators either way; keeping an opaque factory's world
-          current is the caller's contract).
+          (possibly in worker processes): they *advance by delta*.
+          Sharded runners route each changed row to the shard that
+          owns it, parallel runners send the whole delta to every
+          chain, and every unit applies its share, repairs its own
+          model, re-burns locally and re-pools, so the workers stay
+          warm.  A runner is disposed instead — and the next execution
+          re-splits and re-forks from the updated database — when a
+          row routes to a shard that was empty at build or that the
+          partitioner cannot place, when a unit's chain has no live
+          model or no resyncable proposer, when a repaired factor
+          would span two shards (or, for ``shards`` > 1, no live
+          model is attached to check that), when the shard factory
+          rewrites its shards' worlds (coref's cluster renumbering),
+          when the chain factory cannot rebase onto the session's
+          world, or when a worker fails during the delta.
+          :meth:`stats` counts both outcomes and keeps the last
+          fallback's reason.
 
         A failed repair invalidates everything and re-raises: the
         cached runners are disposed **and the attached model/chain are
@@ -511,20 +553,32 @@ class Session:
         if delta.is_empty():
             return
         repair = None
+        graph = None
         if self._live is not None:
             try:
                 repair = self._live.on_dml(delta)
-            except Exception:
+            except Exception as exc:
                 self._live = None
                 self._chain = None
                 self._model = None
+                self._fallback(
+                    [k for k in self._runners if k[1] in _MULTI_WORLD], exc
+                )
                 self._drop_runners(parallel=False)
-                self._drop_runners(parallel=True)
                 raise
-        self._drop_runners(parallel=True)
-        for key in list(self._runners):  # single-chain runners remain
+            graph = self._live.model.graph
+        for key in list(self._runners):
             runner = self._runners[key]
-            if (
+            if key[1] in _MULTI_WORLD:
+                try:
+                    runner.advance(delta, repair, graph)
+                except ReproError as exc:
+                    # The statement committed; only this runner's copies
+                    # are lost, and the next read rebuilds them.
+                    self._fallback([key], exc)
+                else:
+                    self._dml_routing["delta_advances"] += 1
+            elif (
                 repair is not None
                 and hasattr(runner, "notify_repair")
                 and not getattr(runner, "targeted", False)
@@ -537,6 +591,14 @@ class Session:
                 # removed groups the proof never saw.  Re-execution
                 # re-derives the restriction from the current world.
                 _dispose_runner(self._runners.pop(key))
+
+    def _fallback(self, keys: list, cause: Exception) -> None:
+        """Dispose multi-world runners that could not follow a delta;
+        their next execution rebuilds from the current database."""
+        for key in keys:
+            _dispose_runner(self._runners.pop(key))
+            self._dml_routing["rebuilds"] += 1
+            self._dml_routing["last_fallback"] = f"{type(cause).__name__}: {cause}"
 
     @property
     def live_runner(self) -> Optional[LiveRunner]:
@@ -903,14 +965,22 @@ class Session:
             if runner is None:
                 factory = self._chain_factory
                 # Live updates: a factory that can rebase builds its
-                # chains from the session's *current* world, so a
-                # runner rebuilt after DML invalidation samples the
-                # updated database, not the factory's baked-in corpus.
+                # chains from the session's *current* world — the
+                # chains then follow later DML by delta, and a runner
+                # rebuilt after a fallback samples the updated
+                # database, not the factory's baked-in corpus.
                 rebase = getattr(factory, "rebased", None)
                 if rebase is not None:
                     factory = rebase(self.database.snapshot())
                 runner = _ParallelRunner(
-                    factory, sql, plan, chains, backend, evaluator_cls, resilience
+                    factory,
+                    sql,
+                    plan,
+                    chains,
+                    backend,
+                    evaluator_cls,
+                    resilience,
+                    follows_session=rebase is not None,
                 )
                 self._runners[runner_key] = runner
             return runner
@@ -1022,9 +1092,12 @@ class Session:
         Aggregates the plan-cache counters, the runner cache broken
         down by kind with backend liveness (a ``dead`` runner is one
         whose worker backend closed underneath it and will be evicted
-        on next use), the live-repair attachment, and the database's
-        committed-statement version.  The serving layer folds this into
-        :meth:`repro.serve.server.ReproServer.stats`.
+        on next use), how DML reached the multi-world runners
+        (``delta_advances``: advanced in place; ``rebuilds``: disposed
+        so the next read re-splits and re-forks; ``last_fallback``: the
+        last disposal's reason), the live-repair attachment, and the
+        database's committed-statement version.  The serving layer
+        folds this into :meth:`repro.serve.server.ReproServer.stats`.
         """
         by_kind: dict[str, int] = {}
         dead = 0
@@ -1040,6 +1113,7 @@ class Session:
                 "total": len(self._runners),
                 "by_kind": by_kind,
                 "dead_backends": dead,
+                **self._dml_routing,
             },
             "live_capable": self._live is not None,
             "db_version": self.database.version,

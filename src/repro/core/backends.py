@@ -19,6 +19,10 @@ Two interchangeable backends drive a set of chains built by a
   its own query evaluator, and keeps all chain state alive between
   ``run()`` calls, so anytime refinement continues the same chains.
 
+Both backends also ``advance()`` their chains by a DML delta in place
+(:func:`~repro.core.live.advance_unit`) — in-process, or as a
+``("delta", ...)`` worker command — so a write does not cost a rebuild.
+
 Determinism: a chain's sample stream is a pure function of its pickled
 RNG state, so ``sequential`` and ``process`` backends produce identical
 pooled marginals for identical factories and seeds — the process
@@ -54,6 +58,7 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple, Type
 
 from repro.db.database import Database
+from repro.db.delta import Delta
 from repro.errors import (
     CheckpointError,
     EvaluationError,
@@ -64,6 +69,7 @@ from repro.errors import (
 )
 from repro.mcmc.chain import MarkovChain
 from repro.core.evaluator import EvaluationResult, QueryEvaluator
+from repro.core.live import advance_unit
 from repro.core.marginals import MarginalEstimator
 from repro.core.materialized import MaterializedEvaluator
 from repro.resilience import Checkpoint, ResilienceConfig
@@ -189,6 +195,13 @@ class ChainBackend:
         burn_in: int = 0,
         include_initial: bool = True,
     ) -> EvaluationResult:
+        raise NotImplementedError
+
+    def advance(self, deltas: Sequence[Delta]) -> None:
+        """Move every chain forward by its delta (``deltas[i]`` for
+        chain ``i``) through :func:`~repro.core.live.advance_unit`:
+        apply, repair, locally re-burn, re-pool.  Raises when a chain
+        cannot follow deltas; the caller then rebuilds the backend."""
         raise NotImplementedError
 
     def close(self) -> None:
@@ -328,25 +341,7 @@ class SequentialBackend(ChainBackend):
             cpu += chain_cpu
             self._cpu_totals[index] += chain_cpu
             if store is not None:
-                self._seqs[index] += 1
-                store.put(
-                    Checkpoint(
-                        key=self._resilience.key_for(index),
-                        seq=self._seqs[index],
-                        runs_completed=self._runs_completed,
-                        records_done=0,
-                        initial_recorded=False,
-                        steps=_chain_steps(evaluator.chain),
-                        payload=serialize_chain_state(
-                            evaluator.db,
-                            evaluator.chain,
-                            self._queries,
-                            self._evaluator_cls,
-                            evaluator.estimators,
-                        ),
-                        cpu_total=self._cpu_totals[index],
-                    )
-                )
+                self._checkpoint(store, index, evaluator)
             # Snapshot the estimators (as process workers do) so results
             # returned now don't mutate when the chains run again, and
             # report cumulative per-chain CPU matching the process
@@ -360,6 +355,40 @@ class SequentialBackend(ChainBackend):
             )
         wall = time.perf_counter() - started
         return EvaluationResult(pool_estimators(per_chain), wall, cpu)
+
+    def advance(self, deltas: Sequence[Delta]) -> None:
+        self._check_started()
+        store = self._store()
+        # A delta is a completed command like a run, and is checkpointed
+        # at once: adoption must never resume a pre-delta world.
+        self._runs_completed += 1
+        for index, (evaluator, delta) in enumerate(zip(self._evaluators, deltas)):
+            chain_started = time.process_time()
+            advance_unit(evaluator, delta)
+            self._cpu_totals[index] += time.process_time() - chain_started
+            if store is not None:
+                self._checkpoint(store, index, evaluator)
+
+    def _checkpoint(self, store, index: int, evaluator: QueryEvaluator) -> None:
+        self._seqs[index] += 1
+        store.put(
+            Checkpoint(
+                key=self._resilience.key_for(index),
+                seq=self._seqs[index],
+                runs_completed=self._runs_completed,
+                records_done=0,
+                initial_recorded=False,
+                steps=_chain_steps(evaluator.chain),
+                payload=serialize_chain_state(
+                    evaluator.db,
+                    evaluator.chain,
+                    self._queries,
+                    self._evaluator_cls,
+                    evaluator.estimators,
+                ),
+                cpu_total=self._cpu_totals[index],
+            )
+        )
 
     def close(self) -> None:
         for evaluator in self._evaluators:
@@ -399,9 +428,11 @@ class _ChainWorker:
     """Worker-process side of the chain protocol.
 
     Commands from the parent: ``("run", samples, burn_in,
-    include_initial)`` and ``("stop",)``.  Replies: ``("ok",
-    estimators, cpu)`` per run and ``("error", traceback_text)`` on
-    failure.  With a :class:`_WorkerConfig`, ``("hb",)`` heartbeats and
+    include_initial)``, ``("delta", delta)`` (advance the chain by one
+    DML delta, :func:`~repro.core.live.advance_unit`) and ``("stop",)``.
+    Replies: ``("ok", estimators, cpu)`` per run or delta and
+    ``("error", traceback_text)`` on failure.  With a
+    :class:`_WorkerConfig`, ``("hb",)`` heartbeats and
     ``("ckpt", seq, runs, records, initial, steps, payload, cpu)`` /
     ``("ckpt_fail", seq, message)`` messages interleave ahead of the
     ``ok`` — the parent treats any message as proof of life.
@@ -440,6 +471,9 @@ class _ChainWorker:
                 return
             if message[0] == "stop":
                 return
+            if message[0] == "delta":
+                self._advance(message[1])
+                continue
             _, samples, burn_in, include_initial = message
             self.current_records = 0
             self.current_initial = include_initial
@@ -465,6 +499,18 @@ class _ChainWorker:
             self.conn.send(
                 ("ok", [e.copy() for e in self.evaluator.estimators], cpu)
             )
+
+    def _advance(self, delta: Delta) -> None:
+        started = time.process_time()
+        advance_unit(self.evaluator, delta)
+        cpu = time.process_time() - started
+        self.cpu_total += cpu
+        # Counted like a run command (replay indexes commands), and
+        # checkpointed at once so no respawn resumes a pre-delta world.
+        self.runs_completed += 1
+        if self.config is not None and self.config.checkpoint_every:
+            self._checkpoint(0, False, self.cpu_total)
+        self.conn.send(("ok", [e.copy() for e in self.evaluator.estimators], cpu))
 
     # ------------------------------------------------------------------
     def _on_sample(self, index: int, elapsed: float, estimators) -> None:
@@ -553,8 +599,9 @@ class _WorkerHandle:
         self.key = key
         self.cpu_total = 0.0
         self.incarnation = 0
-        # Absolute run-command index the current incarnation's local
-        # ``runs_completed`` counts from (0 for a fresh worker).
+        # Absolute command index (runs and deltas) the current
+        # incarnation's local ``runs_completed`` counts from (0 for a
+        # fresh worker).
         self.runs_base = 0
 
 
@@ -760,12 +807,31 @@ class ProcessPoolBackend(ChainBackend):
         wall = time.perf_counter() - started
         return EvaluationResult(pool_estimators(per_chain), wall, cpu)
 
+    def advance(self, deltas: Sequence[Delta]) -> None:
+        self._check_started()
+        # One history entry holds every worker's delta; _wire picks the
+        # worker's own when the command is sent or replayed.
+        command = ("delta", tuple(deltas))
+        self._commands.append(command)
+        for worker in self._workers:
+            self._dispatch(worker, command)
+        for worker in self._workers:
+            reply = self._await_ok(worker, recover=True)
+            worker.cpu_total += reply[2]
+
     # ------------------------------------------------------------------
     # Supervision
     # ------------------------------------------------------------------
+    @staticmethod
+    def _wire(worker: _WorkerHandle, command: Tuple) -> Tuple:
+        """The message ``worker`` receives for a history entry."""
+        if command[0] == "delta":
+            return ("delta", command[1][worker.index])
+        return command
+
     def _dispatch(self, worker: _WorkerHandle, command: Tuple) -> None:
         try:
-            worker.conn.send(command)
+            worker.conn.send(self._wire(worker, command))
         except (BrokenPipeError, OSError) as exc:
             failure = WorkerCrashError(
                 f"chain worker {worker.index} is gone (pipe closed: {exc!r})",
@@ -958,9 +1024,10 @@ class ProcessPoolBackend(ChainBackend):
 
     def _replay(self, worker: _WorkerHandle, checkpoint: Checkpoint) -> None:
         """Drive a freshly respawned worker through every command issued
-        after ``checkpoint``, discarding their replies (their samples are
-        already part of the cumulative estimator state), and dispatch
-        the in-flight command last — its reply is left for the caller.
+        after ``checkpoint`` (runs and deltas, in order), discarding
+        their replies (their samples are already part of the cumulative
+        estimator state), and dispatch the in-flight command last — its
+        reply is left for the caller.
 
         For a checkpoint taken ``records_done`` samples into a command,
         the remainder is ``("run", n + include_initial - records_done,
@@ -985,10 +1052,10 @@ class ProcessPoolBackend(ChainBackend):
             if not queue:
                 queue.append(("run", 0, 0, False))
         for command in queue[:-1]:
-            worker.conn.send(command)
+            worker.conn.send(self._wire(worker, command))
             reply = self._await_ok(worker, recover=False)
             worker.cpu_total += reply[2]
-        worker.conn.send(queue[-1])
+        worker.conn.send(self._wire(worker, queue[-1]))
 
     def _kill_worker(self, worker: _WorkerHandle) -> None:
         try:

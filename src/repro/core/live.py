@@ -20,11 +20,14 @@ module is that claim operationalized:
   longer estimate it, and anytime cursors holding the estimators
   observe the reset.
 
-Composition with the execution backends is *repair-or-invalidate*: the
-sequential single-chain path repairs in place; process and sharded
-runners hold pickled world copies in other processes, so the session
-invalidates them and the next execution rebuilds from the updated
-database (see the README's "Live updates" matrix).
+Composition with the execution backends is *advance-by-delta*: the
+sequential single-chain path repairs in place, and every multi-world
+runner (``chains=K`` / ``shards=K``, sequential or process backend)
+ships the statement's delta to each of its (shard, chain) units, where
+:func:`advance_unit` applies it to the unit's world copy and repairs
+the unit's own model the same way.  Worker processes stay warm; a
+snapshot rebuild happens only at cold start and as the fallback when a
+unit cannot follow the delta (see the README's "Live updates" matrix).
 
 A model is live-capable when it exposes ``repair_from_delta`` and
 ``graph`` (:class:`~repro.ie.ner.model.SkipChainNerModel`,
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
+from repro.core.evaluator import QueryEvaluator
 from repro.core.materialized import MaterializedEvaluator
 from repro.db.delta import Delta
 from repro.errors import LiveUpdateError
@@ -46,6 +50,7 @@ from repro.mcmc.proposal import UniformLabelProposer
 __all__ = [
     "IncrementalEvaluator",
     "LiveRunner",
+    "advance_unit",
     "graph_signature",
     "resolve_live_model",
     "supports_live_repair",
@@ -237,3 +242,28 @@ class LiveRunner:
             kernel.run(steps)
         finally:
             kernel.proposer = saved
+
+
+# ----------------------------------------------------------------------
+# Multi-world units
+# ----------------------------------------------------------------------
+def advance_unit(evaluator: QueryEvaluator, delta: Delta) -> GraphRepair:
+    """Move one (shard, chain) unit forward by ``delta``.
+
+    The unit's world copy applies the delta (its view recorders fold it
+    in like any other mutation), the unit's model repairs its graph and
+    locally re-burns through the unit's own chain, and the evaluator
+    re-pools its estimators so the repaired world counts as the next
+    initial sample.  The one routine behind both chain backends: the
+    sequential backend calls it in-process, process workers on a
+    ``("delta", ...)`` command.  Raises :class:`LiveUpdateError` when
+    the unit cannot follow deltas; the caller must then rebuild it.
+    """
+    chain = evaluator.chain
+    # Built first: a unit that cannot follow deltas raises here, before
+    # its world is touched.
+    live = LiveRunner(getattr(chain, "model", None), chain)
+    evaluator.db.apply_delta(delta)
+    repair = live.on_dml(delta)
+    evaluator.notify_repair(repair)
+    return repair

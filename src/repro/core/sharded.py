@@ -18,7 +18,10 @@ the second on top of the same chain backends:
    composes with ``chains=M`` into K×M workers;
 4. per-shard estimates are pooled *within* a shard (cross-chain
    averaging, as before) and union-merged *across* shards into the
-   global answer.
+   global answer;
+5. DML on the full database advances the units by delta
+   (:meth:`ShardedEvaluator.advance`): each changed row is routed to
+   the shard owning it and repaired there, in the same workers.
 
 Soundness rests on the shards being probabilistically independent:
 :func:`validate_shardable_graph` checks that no instantiated factor
@@ -64,6 +67,7 @@ import time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Type
 
 from repro.db.database import Database, Snapshot
+from repro.db.delta import Delta
 from repro.db.ra.ast import GroupAggregate, PlanNode
 from repro.db.shard import Partitioner, HashPartitioner, ShardSpec, ShardedDatabase
 from repro.db.sql.compiler import plan_query
@@ -93,7 +97,9 @@ __all__ = [
 # Builds one shard's sampler over that shard's (already sliced) world:
 # ``factory(shard_db, seed) -> MarkovChain``.  Must be picklable for the
 # process backend, and may carry a ``spec`` attribute (a ShardSpec)
-# declaring the workload's natural shard key.
+# declaring the workload's natural shard key, and ``follows_deltas =
+# False`` when it rewrites the shard's world (its units then cannot
+# apply the full database's rows and rebuild on DML instead).
 ShardChainFactory = Callable[[Database, int], MarkovChain]
 
 
@@ -106,9 +112,13 @@ def derive_unit_seeds(base_seed: int, count: int) -> List[int]:
     return [spawn(root, index).randrange(2**31) for index in range(count)]
 
 
-def validate_shardable_graph(graph, sharded: ShardedDatabase) -> None:
+def validate_shardable_graph(
+    graph, sharded: ShardedDatabase, variables=None
+) -> None:
     """Raise :class:`ShardingError` if any factor of ``graph`` touches
-    variables in two different shards.
+    variables in two different shards.  ``variables`` restricts the
+    check to the factors adjacent to them (a repair's neighbourhood)
+    instead of unrolling the whole graph.
 
     Variables bound to database fields (``FieldVariable``: attributes
     ``table``/``pk``) are mapped through the shard key; free or observed
@@ -118,7 +128,12 @@ def validate_shardable_graph(graph, sharded: ShardedDatabase) -> None:
     construction (e.g. coref mention blocks) rather than relying on
     this check alone.
     """
-    for factor in graph.all_factors().values():
+    factors = (
+        graph.all_factors()
+        if variables is None
+        else graph.factors_touching(variables)
+    )
+    for factor in factors.values():
         shards = set()
         for variable in factor.variables:
             table = getattr(variable, "table", None)
@@ -198,29 +213,36 @@ def merge_shard_estimators(
 
 class _ShardUnitFactory:
     """The :data:`~repro.core.backends.ChainFactory` over (shard, chain)
-    units: unit ``u = slot * chains + c`` clones non-empty shard
-    ``slot``'s initial world and builds chain ``c`` over it.  A class
-    (not a closure) so it and its products cross process boundaries."""
+    units: unit ``u = slot * chains + c`` builds chain ``c`` over
+    non-empty shard ``slot``'s world.  Chain 0 takes the freshly split
+    shard database itself; further chains clone a snapshot taken before
+    any chain was built (a factory may rewrite its world, e.g. coref's
+    cluster renumbering).  A class (not a closure) so its products
+    cross process boundaries."""
 
     def __init__(
         self,
-        snapshots: Sequence[Snapshot],
+        shard_dbs: Sequence[Database],
         shard_factory: ShardChainFactory,
         chains: int,
         seeds: Sequence[int],
-        name_prefix: str,
     ):
-        self.snapshots = list(snapshots)
+        self.shard_dbs = list(shard_dbs)
+        self.snapshots: List[Snapshot] = (
+            [db.snapshot() for db in self.shard_dbs] if chains > 1 else []
+        )
         self.shard_factory = shard_factory
         self.chains = chains
         self.seeds = list(seeds)
-        self.name_prefix = name_prefix
 
     def __call__(self, unit: int) -> Tuple[Database, MarkovChain]:
         slot, chain_index = divmod(unit, self.chains)
-        db = Database.from_snapshot(
-            self.snapshots[slot], f"{self.name_prefix}-s{slot}c{chain_index}"
-        )
+        if chain_index == 0:
+            db = self.shard_dbs[slot]
+        else:
+            db = Database.from_snapshot(
+                self.snapshots[slot], f"{self.shard_dbs[slot].name}c{chain_index}"
+            )
         return db, self.shard_factory(db, self.seeds[unit])
 
 
@@ -231,13 +253,15 @@ class ShardedEvaluator:
     validates shardability, and starts one (shard, chain) unit per
     worker slot; every :meth:`run` call advances *all* units and
     returns freshly merged global estimates, so repeated calls continue
-    the same chains (anytime refinement).  :meth:`close` releases the
+    the same chains (anytime refinement); :meth:`advance` carries them
+    across a change of the full database.  :meth:`close` releases the
     workers.
 
     Parameters
     ----------
     database:
-        The full (unsharded) database; read, never mutated.
+        The full (unsharded) database; read, never mutated.  Deltas
+        passed to :meth:`advance` are changes of this database.
     shard_factory:
         ``factory(shard_db, seed) -> MarkovChain`` building one shard's
         model + sampler (see :data:`ShardChainFactory`).
@@ -343,14 +367,14 @@ class ShardedEvaluator:
             for index in range(num_shards)
             if index not in set(self.shard_indexes)
         ]
+        # Rows of the shard table per slot, kept current across deltas:
+        # a delta that would empty a slot falls back to a rebuild.
+        self._slot_rows = [len(db.table(spec.table)) for _, db in occupied]
+        self._follows_deltas = getattr(shard_factory, "follows_deltas", True)
         num_units = len(occupied) * chains
         self.unit_seeds = derive_unit_seeds(base_seed, num_units)
         factory = _ShardUnitFactory(
-            [db.snapshot() for _, db in occupied],
-            shard_factory,
-            chains,
-            self.unit_seeds,
-            database.name,
+            [db for _, db in occupied], shard_factory, chains, self.unit_seeds
         )
         self.backend: ChainBackend = make_backend(backend, resilience=resilience)
         try:
@@ -406,6 +430,96 @@ class ShardedEvaluator:
         return EvaluationResult(merged, wall, backend_result.cpu_elapsed)
 
     # ------------------------------------------------------------------
+    def route(self, delta: Delta) -> List[Delta]:
+        """Split a delta of the full database into one delta per slot.
+
+        Each changed row of a sharded table goes to the slot owning its
+        shard-key value (an UPDATE that moves a row to another shard is
+        already a delete of the old row plus an insert of the new one,
+        so it becomes a delete in one slot and an insert in another);
+        replicated tables go to every slot.  Raises
+        :class:`ShardingError` when a row cannot be placed: the
+        partitioner rejects its key, or its shard was empty when the
+        evaluator was built.
+        """
+        slot_of = {shard: slot for slot, shard in enumerate(self.shard_indexes)}
+        routed = [Delta() for _ in self.shard_indexes]
+        for table in delta.tables():
+            changes = delta.for_table(table)
+            if self.sharded.is_replicated(table):
+                for out in routed:
+                    for row, count in changes.items():
+                        out.add(table, row, count)
+                continue
+            if not self.sharded.is_sharded(table):
+                raise ShardingError(
+                    f"table {table!r} is neither sharded nor replicated"
+                )
+            position = self.sharded.db.table(table).schema.position(
+                self.sharded.shard_column(table)
+            )
+            for row, count in changes.items():
+                shard = self.sharded.shard_of_value(row[position])
+                slot = slot_of.get(shard)
+                if slot is None:
+                    raise ShardingError(
+                        f"a {table} row routes to shard {shard}, which was "
+                        f"empty when the shards were built"
+                    )
+                routed[slot].add(table, row, count)
+        return routed
+
+    def advance(self, delta: Delta, repair=None, graph=None) -> None:
+        """Move every (shard, chain) unit forward by ``delta`` instead
+        of rebuilding: route it (:meth:`route`), then each unit applies
+        its share, repairs its model, re-burns locally and re-pools its
+        estimators (:func:`~repro.core.live.advance_unit`), so every
+        shard restarts its sample count together and the merge stays
+        valid.
+
+        ``repair`` and ``graph`` — the full-database model's repair of
+        the same delta and its graph — gate soundness for K > 1: without
+        them nothing certifies the delta's neighbourhood, and a factor
+        next to the repaired variables that spans two shards raises
+        :class:`ShardingError` (only that neighbourhood is checked,
+        never the whole graph).  Graphs with dynamic templates cannot
+        certify a new variable's future neighbourhood, so a repair that
+        adds variables to one raises as well, as does a shard factory
+        that rewrites its shards' worlds (``follows_deltas = False``).
+        Any raise means the caller must rebuild from the updated
+        database.
+        """
+        if not self._follows_deltas:
+            raise ShardingError(
+                "the shard factory rewrites its shards' worlds, so the "
+                "database's rows cannot be applied to them"
+            )
+        if self.num_shards > 1:
+            if repair is None or graph is None:
+                raise ShardingError(
+                    "no model repair of the full database certifies that "
+                    "the delta's factors stay within one shard"
+                )
+            if repair.added and graph.has_dynamic_templates:
+                raise ShardingError(
+                    "new variables of a model with dynamic templates may "
+                    "couple across shards; rebuilding"
+                )
+            validate_shardable_graph(
+                graph, self.sharded, variables=repair.local_variables()
+            )
+        routed = self.route(delta)
+        rows = [
+            before + sum(count for _, count in part.for_table(self.spec.table).items())
+            for before, part in zip(self._slot_rows, routed)
+        ]
+        if 0 in rows:
+            raise ShardingError(
+                f"the delta would empty shard {self.shard_indexes[rows.index(0)]}"
+            )
+        self.backend.advance([part for part in routed for _ in range(self.chains)])
+        self._slot_rows = rows
+
     def close(self) -> None:
         self.backend.close()
 

@@ -40,6 +40,10 @@ class Delta:
     def record_delete(self, table: str, row: Row, count: int = 1) -> None:
         self._delta_for(table).add(row, -count)
 
+    def add(self, table: str, row: Row, count: int) -> None:
+        """Record a signed change: ``count`` > 0 inserts, < 0 deletes."""
+        self._delta_for(table).add(row, count)
+
     def record_update(self, table: str, old_row: Row, new_row: Row) -> None:
         ms = self._delta_for(table)
         ms.add(old_row, -1)

@@ -221,6 +221,9 @@ class ShardedDatabase:
     def is_sharded(self, table: str) -> bool:
         return table.lower() in self._columns
 
+    def is_replicated(self, table: str) -> bool:
+        return table.lower() in self._replicate
+
     def shard_column(self, table: str) -> str:
         try:
             return self._columns[table.lower()]

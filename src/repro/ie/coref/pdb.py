@@ -138,6 +138,10 @@ class CorefShardChainFactory:
     """
 
     spec = COREF_SHARD_SPEC
+    # _renumber_clusters rewrites each shard's CLUSTER ids, so the
+    # session's rows (global ids) cannot be applied to a shard's world:
+    # sharded runners rebuild on DML instead of advancing by delta.
+    follows_deltas = False
 
     def __init__(
         self,

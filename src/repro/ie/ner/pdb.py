@@ -107,6 +107,9 @@ class NerInstance:
             self.model.graph, self.proposer, seed=chain_seed
         )
         self.chain = MarkovChain(self.kernel, steps_per_sample)
+        # How a multi-world unit holding only the chain reaches its live
+        # model (repro.core.live.advance_unit).
+        self.chain.model = self.model
 
     def evaluator(
         self, queries: Sequence[str], kind: str = "materialized"
@@ -267,8 +270,8 @@ class SeededChainFactory:
         """A copy of this factory that builds chains from ``snapshot``
         instead of the task's initial corpus.  The session rebases the
         factory on its current world when (re)building a parallel
-        runner, so chains launched after DML sample the updated
-        database rather than a stale snapshot."""
+        runner, so its chains hold copies of the session database and
+        can follow later DML by delta."""
         clone = SeededChainFactory.__new__(SeededChainFactory)
         clone.task = self.task
         clone.base_seed = self.base_seed

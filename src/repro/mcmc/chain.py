@@ -25,6 +25,10 @@ class MarkovChain:
             raise InferenceError("steps_per_sample must be >= 1")
         self.kernel = kernel
         self.steps_per_sample = steps_per_sample
+        # The model owning the kernel's graph, when the builder records
+        # it: how a world copy holding only the chain repairs its graph
+        # after DML (repro.core.live.advance_unit).
+        self.model = None
 
     @property
     def stats(self) -> MHStatistics:

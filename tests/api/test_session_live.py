@@ -1,15 +1,19 @@
-"""Live-update routing through the session (ISSUE 5).
+"""Live-update routing through the session.
 
-The regression this PR fixes: ``Session.execute`` used to return a DML
-cursor **without touching ``_runners``**, so cached parallel/sharded
+The regression this suite guards: ``Session.execute`` once returned a
+DML cursor **without touching ``_runners``**, so cached parallel/sharded
 runners kept sampling a stale pickled snapshot after INSERT / UPDATE /
 DELETE and served pre-update marginals forever.  The contract now:
 after any world-changing DML, no cached runner serves marginals that
-predate the update — live-capable single-chain runners are *repaired*
-(graph edits + chain carryover + estimator re-pooling), everything
-holding an independent world copy is *invalidated* and rebuilt from
-the updated database.
+predate the update.  Live-capable single-chain runners are *repaired*
+(graph edits + chain carryover + estimator re-pooling); runners holding
+independent world copies *advance by delta* — every (shard, chain) unit
+applies its share of the delta, repairs its own model and re-pools, in
+the same workers — and only fall back to a rebuild from the updated
+database when a unit cannot follow the delta.
 """
+
+import pickle
 
 import pytest
 
@@ -18,6 +22,7 @@ from repro.core.live import graph_signature
 from repro.errors import EvaluationError, LiveUpdateError
 from repro.ie.ner import NerPipeline
 from repro.ie.ner.model import SkipChainNerModel
+from repro.resilience import MemoryCheckpointStore, ResilienceConfig
 
 QUERY = "SELECT STRING FROM TOKEN WHERE LABEL='B-PER'"
 INSERT = "INSERT INTO TOKEN VALUES (999999, 0, 'Zanzibar', 'B-PER', 'B-PER')"
@@ -34,28 +39,27 @@ def runners_of(session, kind):
 class TestShardedInvalidation:
     def test_dml_invalidates_cached_sharded_runner(self):
         """THE regression: a cached sharded runner must not keep
-        serving marginals sampled from pre-update shard copies."""
+        serving marginals sampled from pre-update shard copies.  It
+        now advances its copies by the delta instead of being
+        discarded: same runner, pre-update samples dropped, and the
+        inserted row in exactly one shard copy."""
         pipeline = small_pipeline()
         session = pipeline.session
         num_tokens = len(pipeline.db.table("TOKEN"))
         first = session.execute(QUERY, samples=4, shards=2)
         assert first.num_samples == 5
-        stale = runners_of(session, "sharded")[0]
+        runner = runners_of(session, "sharded")[0]
         session.execute(INSERT)
-        # the stale runner is gone, not merely bypassed
-        assert runners_of(session, "sharded") == []
+        assert runners_of(session, "sharded") == [runner]
         second = session.execute(QUERY, samples=4, shards=2)
-        rebuilt = runners_of(session, "sharded")[0]
-        assert rebuilt is not stale
-        # fresh chains: sample counts restart instead of accumulating
+        # pre-update samples were dropped: counts restart, with the
+        # repaired world as the first sample
         assert second.num_samples == 5
-        # and the rebuilt shards carry the inserted row
-        shard_dbs = [
-            unit.db
-            for unit in rebuilt.evaluator.backend._evaluators
-        ]
+        shard_dbs = [unit.db for unit in runner.evaluator.backend._evaluators]
         total = sum(len(db.table("TOKEN")) for db in shard_dbs)
         assert total == num_tokens + 1
+        assert sum(db.table("TOKEN").contains_key((999999,)) for db in shard_dbs) == 1
+        assert session.stats()["runners"]["delta_advances"] == 1
         session.close()
 
     def test_dml_invalidates_cached_parallel_runner(self):
@@ -64,17 +68,103 @@ class TestShardedInvalidation:
         num_tokens = len(pipeline.db.table("TOKEN"))
         first = session.execute(QUERY, samples=3, chains=2)
         assert first.num_samples == 2 * 4
-        stale = runners_of(session, "parallel")[0]
+        runner = runners_of(session, "parallel")[0]
         session.execute(INSERT)
-        assert runners_of(session, "parallel") == []
+        assert runners_of(session, "parallel") == [runner]
         second = session.execute(QUERY, samples=3, chains=2)
-        rebuilt = runners_of(session, "parallel")[0]
-        assert rebuilt is not stale
         assert second.num_samples == 2 * 4
-        # rebased factory: rebuilt chains sample the updated world
-        for evaluator in rebuilt.backend._evaluators:
+        # every chain's full world copy received the whole delta
+        for evaluator in runner.backend._evaluators:
             assert len(evaluator.db.table("TOKEN")) == num_tokens + 1
         session.close()
+
+
+PARALLEL_DML = [
+    INSERT,
+    "UPDATE TOKEN SET STRING='Zanzibar' WHERE TOK_ID=5",
+    "UPDATE TOKEN SET DOC_ID=1 WHERE TOK_ID=3",
+    "DELETE FROM TOKEN WHERE TOK_ID=7",
+]
+
+
+def chain_worlds(runner, store):
+    """(database, model) of every chain: in-process evaluators for the
+    sequential backend, the latest checkpoints for worker processes."""
+    if store is None:
+        return [(e.db, e.chain.model) for e in runner.backend._evaluators]
+    worlds = []
+    for key in sorted(store.keys(), key=lambda k: int(k.split(":")[1])):
+        db, chain, *_ = pickle.loads(store.latest(key).payload)
+        worlds.append((db, chain.model))
+    return worlds
+
+
+def observed(db):
+    """TOKEN rows without the hidden LABEL column."""
+    schema = db.table("TOKEN").schema
+    label = schema.position("LABEL")
+    return sorted(row[:label] + row[label + 1 :] for row in db.table("TOKEN").rows())
+
+
+class TestParallelAdvance:
+    @pytest.mark.parametrize("backend", ["sequential", "process"])
+    @pytest.mark.parametrize("dml", PARALLEL_DML)
+    def test_chains_follow_dml_in_place(self, backend, dml):
+        pipeline = small_pipeline()
+        session = pipeline.session
+        resilience = None
+        store = None
+        if backend == "process":
+            # Checkpoints are the window into the worker processes.
+            store = MemoryCheckpointStore()
+            resilience = ResilienceConfig(store=store, checkpoint_every=1000)
+        opts = dict(chains=2, backend=backend, resilience=resilience)
+        session.execute(QUERY, samples=3, **opts)
+        runner = runners_of(session, "parallel")[0]
+        pids = runner.backend.worker_pids() if backend == "process" else []
+        session.execute(dml)
+        cursor = session.execute(QUERY, samples=2, **opts)
+        assert runners_of(session, "parallel") == [runner]
+        if backend == "process":
+            assert runner.backend.worker_pids() == pids
+        assert cursor.num_samples == 2 * 3
+        for db, model in chain_worlds(runner, store):
+            assert observed(db) == observed(pipeline.db)
+            rebuilt = SkipChainNerModel(db, weights=model.weights)
+            assert graph_signature(model.graph) == graph_signature(rebuilt.graph)
+        stats = session.stats()["runners"]
+        assert (stats["delta_advances"], stats["rebuilds"]) == (1, 0)
+        session.close()
+
+    def test_factory_without_rebase_falls_back_to_rebuild(self):
+        """A factory whose worlds are not copies of the session database
+        cannot follow its deltas: the runner is rebuilt."""
+        pipeline = small_pipeline()
+        session = pipeline.session
+        session.attach_model(chain_factory=OpaqueFactory(pipeline.task))
+        session.execute(QUERY, samples=2, chains=2)
+        runner = runners_of(session, "parallel")[0]
+        session.execute(INSERT)
+        assert runners_of(session, "parallel") == []
+        stats = session.stats()["runners"]
+        assert stats["rebuilds"] == 1
+        assert "rebase" in stats["last_fallback"]
+        cursor = session.execute(QUERY, samples=2, chains=2)
+        assert runners_of(session, "parallel")[0] is not runner
+        assert cursor.num_samples == 2 * 3
+        session.close()
+
+
+class OpaqueFactory:
+    """A chain factory with no ``rebased``: its chains sample the
+    task's initial corpus whatever the session holds."""
+
+    def __init__(self, task):
+        self.task = task
+
+    def __call__(self, index):
+        instance = self.task.make_instance(index + 1)
+        return instance.db, instance.chain
 
 
 class TestLiveRepairRouting:
@@ -177,12 +267,18 @@ class TestLiveRepairRouting:
         pipeline = small_pipeline()
         session = pipeline.session
         session.execute(QUERY, samples=2)
+        session.execute(QUERY, samples=2, shards=2)
+        session.execute(QUERY, samples=2, chains=2)
         with pytest.raises(LiveUpdateError):
             session.execute(
                 "INSERT INTO TOKEN VALUES (999999, 0, 'Z', 'NOT-A-LABEL', 'O')"
             )
         assert session.live_runner is None
         assert session._runners == {}
+        stats = session.stats()["runners"]
+        # both multi-world runners were disposed, not advanced
+        assert (stats["delta_advances"], stats["rebuilds"]) == (0, 2)
+        assert stats["last_fallback"].startswith("LiveUpdateError")
         # Repair is not transactional: the half-repaired model/chain
         # are detached, so single-chain probabilistic execution refuses
         # until a fresh model is attached...
@@ -193,6 +289,8 @@ class TestLiveRepairRouting:
         session.execute("DELETE FROM TOKEN WHERE TOK_ID=999999")
         cursor = session.execute(QUERY, samples=2, chains=2)
         assert cursor.num_samples == 2 * 3
+        cursor = session.execute(QUERY, samples=2, shards=2)
+        assert cursor.num_samples == 3
         session.close()
 
 

@@ -188,7 +188,13 @@ class TestConcurrentLoad:
                 assert stats["served"]["probabilistic"] >= NUM_SESSIONS // 4
                 # quiescent phase: with no commits racing, the second
                 # read of the same plan must be served from the shared
-                # cache at the same version
+                # cache at the same version.  A concurrent read may
+                # already have cached the last concurrent version, so
+                # the phase opens with its own commit: the first read
+                # at that version must miss.
+                await server.session("warm-w").execute(
+                    "INSERT INTO AUDIT VALUES (-1)"
+                )
                 warm = await server.session("warm-a").execute(QUERY, samples=3)
                 hit = await server.session("warm-b").execute(QUERY, samples=3)
                 assert not warm.cached and hit.cached
