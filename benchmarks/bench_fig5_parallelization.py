@@ -40,6 +40,9 @@ Two measurements:
    ``shards=1`` is asserted bit-identical to the unsharded
    MaterializedEvaluator — sharding is an exact decomposition, not an
    approximation, once no factor spans shards.
+
+Both axes run through one :class:`ShardedEvaluator`: the chain series
+as its unsplit ``over_copies`` layout, the shard series split.
 """
 
 from __future__ import annotations
@@ -57,7 +60,7 @@ from repro.bench import (
     reference_marginals,
     scale_factor,
 )
-from repro.core import MaterializedEvaluator, ParallelEvaluator, ShardedEvaluator, squared_error
+from repro.core import MaterializedEvaluator, ShardedEvaluator, squared_error
 from repro.db import Database
 
 NUM_TOKENS = 2_000
@@ -89,10 +92,10 @@ def test_fig5_parallel_chains(benchmark):
         )[0]
         errors = []
         for num_chains in range(1, MAX_CHAINS + 1):
-            parallel = ParallelEvaluator(
+            with ShardedEvaluator.over_copies(
                 task.chain_factory(base_seed=500), [QUERY1], num_chains
-            )
-            result = parallel.run(SAMPLES_PER_CHAIN, burn_in=BURN_IN)
+            ) as parallel:
+                result = parallel.run(SAMPLES_PER_CHAIN, burn_in=BURN_IN)
             errors.append(
                 squared_error(result.marginals.probabilities(), truth)
             )
@@ -133,13 +136,13 @@ def test_fig5_process_backend_speedup(benchmark):
         )
         rows = {}
         for backend in ("sequential", "process"):
-            parallel = ParallelEvaluator(
+            with ShardedEvaluator.over_copies(
                 task.chain_factory(base_seed=500),
                 [QUERY1],
                 SPEEDUP_CHAINS,
                 backend=backend,
-            )
-            result = parallel.run(SAMPLES_PER_CHAIN, burn_in=BURN_IN)
+            ) as parallel:
+                result = parallel.run(SAMPLES_PER_CHAIN, burn_in=BURN_IN)
             rows[backend] = {
                 "wall": result.wall_elapsed,
                 "cpu": result.cpu_elapsed,

@@ -20,7 +20,7 @@ from repro.bench import (
     print_table,
     scale_factor,
 )
-from repro.core import ParallelEvaluator
+from repro.core import ShardedEvaluator
 
 NUM_TOKENS = 5_000
 STEPS_PER_SAMPLE = 200
@@ -37,10 +37,10 @@ def test_fig7_query2_histogram(benchmark):
         task = make_task(
             NUM_TOKENS * scale_factor(), steps_per_sample=STEPS_PER_SAMPLE
         )
-        parallel = ParallelEvaluator(
+        with ShardedEvaluator.over_copies(
             task.chain_factory(base_seed=700), [QUERY2], CHAINS
-        )
-        result = parallel.run(SAMPLES_PER_CHAIN, burn_in=BURN_IN)
+        ) as parallel:
+            result = parallel.run(SAMPLES_PER_CHAIN, burn_in=BURN_IN)
         return result.marginals.as_histogram(position=0)
 
     histogram = benchmark.pedantic(experiment, rounds=1, iterations=1)

@@ -46,17 +46,22 @@ Typical usage::
     session.attach_model(chain_factory=task.chain_factory())
     cursor = session.execute(query, samples=100, chains=4, backend="process")
     cursor.refine(400)                       # refinement fans out too
+
+``chains=K`` and ``shards=K`` runs share one runner over a
+:class:`~repro.core.sharded.ShardedEvaluator`: chain copies are its
+one-slot layout, shards its split layout.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Optional, Tuple
+from typing import Any, Optional
 
 from repro.api.cursor import AnytimeCursor, Cursor
 from repro.api.plan_cache import CacheInfo, PlanCache, normalize_sql
-from repro.core.backends import make_backend, validate_backend_name
-from repro.core.evaluator import EvaluationResult, QueryEvaluator
+from repro.core.anytime import ChainRunner
+from repro.core.backends import ChainFactory, validate_backend_name
+from repro.core.evaluator import EvaluationResult
 from repro.core.live import IncrementalEvaluator, LiveRunner, resolve_live_model
 from repro.core.materialized import MaterializedEvaluator
 from repro.core.naive import NaiveEvaluator
@@ -72,7 +77,6 @@ from repro.db.sql.compiler import compile_select
 from repro.db.sql.executor import execute_dml, execute_statement
 from repro.db.sql.parser import parse_script, parse_statement
 from repro.errors import EvaluationError, QueryError, ReproError, SessionBusyError
-from repro.fg.graph import GraphRepair
 from repro.mcmc.chain import MarkovChain
 from repro.mcmc.metropolis import MetropolisHastings
 from repro.mcmc.proposal import UniformLabelProposer
@@ -81,18 +85,16 @@ from repro.resilience import ResilienceConfig
 
 __all__ = ["Session", "connect"]
 
-# Builds one chain's world and sampler for parallel evaluation:
-# ``factory(index) -> (database_copy, chain)``.
-ChainFactory = Callable[[int], Tuple[Database, MarkovChain]]
-
-# Runner kinds holding their own world copies (the runner-cache key's
-# second field).
-_MULTI_WORLD = ("parallel", "sharded")
-
 _EVALUATOR_CLASSES = {
     "materialized": MaterializedEvaluator,
     "naive": NaiveEvaluator,
 }
+
+# Runner kinds (the runner-cache key's second field): single-chain
+# runners over the session's own world, keyed by evaluator name, and
+# runners holding their own world copies.
+_SINGLE_CHAIN = tuple(_EVALUATOR_CLASSES)
+_MULTI_WORLD = ("parallel", "sharded")
 
 
 def connect(
@@ -108,152 +110,22 @@ def connect(
     )
 
 
-class _ChainRunner:
-    """Drives one query evaluator; the initial world is counted as a
-    sample only on the first run (later runs extend the same chain)."""
+class _UnitRunner:
+    """Drives a persistent :class:`~repro.core.sharded.ShardedEvaluator`
+    — K shards × M chains, or one unsplit slot of M world copies — so
+    its units (and under ``backend="process"`` their worker processes)
+    stay alive across ``run()`` calls and anytime refinement continues
+    the same chains.  The initial worlds count as a sample only on the
+    first run and again after each delta."""
 
-    def __init__(self, evaluator: QueryEvaluator, targeted: bool = False):
+    def __init__(self, evaluator: ShardedEvaluator):
         self.evaluator = evaluator
-        # A targeted runner samples a restricted (query-relevant)
-        # variable subset; its restriction is derived from the stored
-        # deterministic columns, so DML always disposes it instead of
-        # repairing (the restriction itself may be stale).
-        self.targeted = targeted
-        self._first = True
-        self._closed = False
-
-    def run(self, samples: int, burn_in: int = 0) -> EvaluationResult:
-        if self._closed:
-            # A disposed runner's recorder is gone, so its materialized
-            # views missed every mutation since — reviving it would
-            # serve pre-update answers.  Mirror the closed parallel
-            # backends: orphaned cursors must re-execute, not refine.
-            raise EvaluationError(
-                "this runner was invalidated (DDL/DML or session close); "
-                "re-execute the query for up-to-date marginals"
-            )
-        include_initial = self._first
-        self._first = False
-        return self.evaluator.run(
-            samples, include_initial_sample=include_initial, burn_in=burn_in
-        )
-
-    def notify_repair(self, repair: GraphRepair) -> None:
-        """Re-pool after a live graph repair: the posterior changed, so
-        pre-update samples are dropped in place (cursors already issued
-        observe the reset) and the repaired world counts as the fresh
-        initial sample on the next run."""
-        self.evaluator.notify_repair(repair)
-        self._first = True
-
-    def dispose(self) -> None:
-        self._closed = True
-        detach = getattr(self.evaluator, "detach", None)
-        if detach is not None:
-            detach()
-
-
-class _ParallelRunner:
-    """Drives K independent chains (each its own world copy via the
-    chain factory) through a persistent execution backend and pools
-    their marginal estimates (paper §5.4).
-
-    Deliberately not :class:`repro.core.parallel.ParallelEvaluator`:
-    that class rebuilds its chains on every ``run()`` (restart
-    semantics), while an anytime cursor needs the chain state — the
-    materialized views in-process, or the worker processes of the
-    ``process`` backend — to persist across ``refine()`` calls so later
-    runs continue the same chains."""
-
-    def __init__(
-        self,
-        factory: ChainFactory,
-        sql: str,
-        plan: PlanNode,
-        chains: int,
-        backend: str,
-        evaluator_cls: type = MaterializedEvaluator,
-        resilience: Optional[ResilienceConfig] = None,
-        follows_session: bool = False,
-    ):
-        self.backend = make_backend(backend, resilience=resilience)
-        # In-process chains reuse the compiled plan; worker processes
-        # receive the SQL text and compile against their own world copy
-        # (plans are not part of the pickled snapshot contract).
-        query = plan if backend == "sequential" else sql
-        self.backend.start(factory, chains, [query], evaluator_cls)
-        self.chains = chains
-        # Whether the chains' worlds are copies of the session database
-        # (a rebased factory); only those can follow its deltas.
-        self.follows_session = follows_session
-        self._first = True
-
-    def run(self, samples: int, burn_in: int = 0) -> EvaluationResult:
-        include_initial = self._first
-        self._first = False
-        return self.backend.run(
-            samples, burn_in=burn_in, include_initial=include_initial
-        )
-
-    def advance(self, delta: Delta, repair: Any = None, graph: Any = None) -> None:
-        """Send the whole delta to every chain (each holds a full world
-        copy); the repaired worlds count as the next initial sample."""
-        if not self.follows_session:
-            raise EvaluationError(
-                "the chain factory cannot rebase, so its worlds are not "
-                "copies of the session database"
-            )
-        self.backend.advance([delta] * self.chains)
-        self._first = True
-
-    def dispose(self) -> None:
-        self.backend.close()
-
-
-class _ShardedRunner:
-    """Drives K database shards × M chains through a persistent
-    :class:`~repro.core.sharded.ShardedEvaluator` (the data-parallel
-    axis of the paper's Fig. 5).  Like :class:`_ParallelRunner`, the
-    evaluator — and under ``backend="process"`` its K×M worker
-    processes — stays alive across ``run()`` calls so anytime
-    refinement continues the same per-shard chains."""
-
-    def __init__(
-        self,
-        database: Database,
-        shard_factory: ShardChainFactory,
-        sql: str,
-        plan: PlanNode,
-        shards: int,
-        chains: int,
-        backend: str,
-        evaluator_cls: type = MaterializedEvaluator,
-        partitioner: Optional[Partitioner] = None,
-        validate_graph: Any = None,
-        resilience: Optional[ResilienceConfig] = None,
-    ):
-        # In-process units reuse the compiled plan; worker processes
-        # receive the SQL text and compile against their own shard copy
-        # (plans are not part of the pickled snapshot contract).
-        query = plan if backend == "sequential" else sql
-        self.evaluator = ShardedEvaluator(
-            database,
-            shard_factory,
-            [query],
-            shards,
-            partitioner=partitioner,
-            chains=chains,
-            backend=backend,
-            evaluator_cls=evaluator_cls,
-            validate_graph=validate_graph,
-            resilience=resilience,
-        )
         self._first = True
 
     @property
     def backend(self):
-        """The underlying chain backend (exposed so Session.execute's
-        crash eviction treats sharded and parallel runners alike)."""
+        """The underlying chain backend (its ``closed`` flag marks a
+        runner whose workers died)."""
         return self.evaluator.backend
 
     def run(self, samples: int, burn_in: int = 0) -> EvaluationResult:
@@ -264,7 +136,7 @@ class _ShardedRunner:
         )
 
     def advance(self, delta: Delta, repair: Any = None, graph: Any = None) -> None:
-        """Route the delta to the shards that own its rows
+        """Move every unit by its share of the delta
         (:meth:`ShardedEvaluator.advance`); the repaired worlds count
         as the next initial sample."""
         self.evaluator.advance(delta, repair, graph)
@@ -272,12 +144,6 @@ class _ShardedRunner:
 
     def dispose(self) -> None:
         self.evaluator.close()
-
-
-def _dispose_runner(runner: Any) -> None:
-    """Release a runner's resources (delta recorders in-process, worker
-    processes for the multiprocess backend)."""
-    runner.dispose()
 
 
 class Session:
@@ -331,7 +197,7 @@ class Session:
     def close(self) -> None:
         """Detach evaluators and refuse further statements."""
         for runner in self._runners.values():
-            _dispose_runner(runner)
+            runner.dispose()
         self._runners.clear()
         self._plans.clear()
         self._closed = True
@@ -405,13 +271,13 @@ class Session:
             )
         if chain is not None and chain is not self._chain:
             self._chain = chain
-            self._drop_runners(parallel=False)
+            self._drop_runners(_SINGLE_CHAIN)
         if chain_factory is not None and chain_factory is not self._chain_factory:
             self._chain_factory = chain_factory
-            self._drop_runners(kinds=("parallel",))
+            self._drop_runners(("parallel",))
         if shard_factory is not None and shard_factory is not self._shard_factory:
             self._shard_factory = shard_factory
-            self._drop_runners(kinds=("sharded",))
+            self._drop_runners(("sharded",))
         if model is not None:
             self._model = model
         # Live updates: when the attached model can repair its factor
@@ -455,22 +321,14 @@ class Session:
             return None
         backend = getattr(runner, "backend", None)
         if backend is not None and backend.closed:
-            _dispose_runner(self._runners.pop(runner_key))
+            self._runners.pop(runner_key).dispose()
             return None
         return runner
 
-    def _drop_runners(
-        self, parallel: bool | None = None, kinds: tuple[str, ...] | None = None
-    ) -> None:
-        """Dispose cached runners by kind.  ``parallel=False`` keeps the
-        historical meaning: everything that is *not* multi-world
-        (single-chain runners)."""
-        if kinds is None:
-            kinds = _MULTI_WORLD if parallel else tuple(
-                k[1] for k in self._runners if k[1] not in _MULTI_WORLD
-            )
+    def _drop_runners(self, kinds: tuple[str, ...]) -> None:
+        """Dispose cached runners by kind (the key's second field)."""
         for key in [k for k in self._runners if k[1] in kinds]:
-            _dispose_runner(self._runners.pop(key))
+            self._runners.pop(key).dispose()
 
     def _after_ddl(self, stmt: Any) -> None:
         """Invalidate cached state after a schema change.
@@ -486,8 +344,7 @@ class Session:
         any DDL.
         """
         self._plans.clear()
-        self._drop_runners(parallel=False)
-        self._drop_runners(parallel=True)
+        self._drop_runners(_SINGLE_CHAIN + _MULTI_WORLD)
         if self._chain is None and self._model is None:
             return
         target = (
@@ -564,7 +421,7 @@ class Session:
                 self._fallback(
                     [k for k in self._runners if k[1] in _MULTI_WORLD], exc
                 )
-                self._drop_runners(parallel=False)
+                self._drop_runners(_SINGLE_CHAIN)
                 raise
             graph = self._live.model.graph
         for key in list(self._runners):
@@ -578,11 +435,7 @@ class Session:
                     self._fallback([key], exc)
                 else:
                     self._dml_routing["delta_advances"] += 1
-            elif (
-                repair is not None
-                and hasattr(runner, "notify_repair")
-                and not getattr(runner, "targeted", False)
-            ):
+            elif repair is not None and not runner.targeted:
                 runner.notify_repair(repair)
             else:
                 # Targeted runners are always disposed: their variable
@@ -590,13 +443,13 @@ class Session:
                 # deterministic columns, and a repair may have added or
                 # removed groups the proof never saw.  Re-execution
                 # re-derives the restriction from the current world.
-                _dispose_runner(self._runners.pop(key))
+                self._runners.pop(key).dispose()
 
     def _fallback(self, keys: list, cause: Exception) -> None:
         """Dispose multi-world runners that could not follow a delta;
         their next execution rebuilds from the current database."""
         for key in keys:
-            _dispose_runner(self._runners.pop(key))
+            self._runners.pop(key).dispose()
             self._dml_routing["rebuilds"] += 1
             self._dml_routing["last_fallback"] = f"{type(cause).__name__}: {cause}"
 
@@ -778,12 +631,8 @@ class Session:
                 # closes it) is unusable; evict it so the next
                 # execute() rebuilds fresh chains instead of hitting
                 # "backend is closed".
-                backend_obj = getattr(runner, "backend", None)
-                if backend_obj is not None and backend_obj.closed:
-                    for stale in [
-                        k for k, r in self._runners.items() if r is runner
-                    ]:
-                        _dispose_runner(self._runners.pop(stale))
+                for stale in [k for k, r in self._runners.items() if r is runner]:
+                    self._evict_if_dead(stale)
                 raise
             columns = [(a.name, a.attr_type) for a in plan.schema.attributes]
             return AnytimeCursor(runner=runner, result=result, columns=columns)
@@ -887,15 +736,32 @@ class Session:
                 f"unknown evaluator kind {evaluator!r} "
                 f"(expected one of {sorted(_EVALUATOR_CLASSES)} or 'parallel')"
             )
-        if shards is not None:
-            if self._shard_factory is None:
+        # Multi-world execution is requested by sharding, explicitly
+        # (evaluator "parallel"), by asking for more than one chain, by
+        # naming a non-default backend, or by asking for supervised
+        # (resilient) workers — which only exist on the factory-built
+        # path.
+        if (
+            shards is not None
+            or evaluator == "parallel"
+            or chains > 1
+            or backend != "sequential"
+            or resilience is not None
+        ):
+            kind = "parallel" if shards is None else "sharded"
+            if shards is not None and self._shard_factory is None:
                 raise EvaluationError(
                     "sharded evaluation needs a shard_factory; pass one to "
                     "attach_model() (e.g. task.shard_chain_factory())"
                 )
+            if shards is None and self._chain_factory is None:
+                raise EvaluationError(
+                    "parallel evaluation needs a chain_factory; pass one to "
+                    "attach_model()"
+                )
             runner_key = (
                 key,
-                "sharded",
+                kind,
                 shards,
                 chains,
                 backend,
@@ -911,58 +777,13 @@ class Session:
                 optimize,
             )
             runner = self._evict_if_dead(runner_key)
-            if runner is None:
-                # The attached model's full-database factor graph, when
-                # there is one, gates the split: a factor spanning two
-                # shards raises ShardingError before any worker starts.
-                graph = getattr(self._model, "graph", None)
-                if graph is None:
-                    graph = getattr(
-                        getattr(self._model, "model", None), "graph", None
-                    )
-                runner = _ShardedRunner(
-                    self.database,
-                    self._shard_factory,
-                    sql,
-                    plan,
-                    shards,
-                    chains,
-                    backend,
-                    evaluator_cls,
-                    partitioner=partitioner,
-                    validate_graph=graph,
-                    resilience=resilience,
-                )
-                self._runners[runner_key] = runner
-            return runner
-        # Multi-chain execution is requested explicitly (evaluator
-        # "parallel"), by asking for more than one chain, by naming a
-        # non-default backend, or by asking for supervised (resilient)
-        # workers — which only exist on the factory-built path.
-        if (
-            evaluator == "parallel"
-            or chains > 1
-            or backend != "sequential"
-            or resilience is not None
-        ):
-            if self._chain_factory is None:
-                raise EvaluationError(
-                    "parallel evaluation needs a chain_factory; pass one to "
-                    "attach_model()"
-                )
-            if chains < 1:
-                raise EvaluationError("need at least one chain")
-            runner_key = (
-                key,
-                "parallel",
-                chains,
-                backend,
-                evaluator_cls.__name__,
-                resilience.fingerprint() if resilience is not None else None,
-                optimize,
-            )
-            runner = self._evict_if_dead(runner_key)
-            if runner is None:
+            if runner is not None:
+                return runner
+            # In-process units reuse the compiled plan; worker processes
+            # receive the SQL text and compile against their own copy
+            # (plans are not part of the pickled snapshot contract).
+            query = plan if backend == "sequential" else sql
+            if shards is None:
                 factory = self._chain_factory
                 # Live updates: a factory that can rebase builds its
                 # chains from the session's *current* world — the
@@ -972,17 +793,37 @@ class Session:
                 rebase = getattr(factory, "rebased", None)
                 if rebase is not None:
                     factory = rebase(self.database.snapshot())
-                runner = _ParallelRunner(
+                units = ShardedEvaluator.over_copies(
                     factory,
-                    sql,
-                    plan,
+                    [query],
                     chains,
-                    backend,
-                    evaluator_cls,
-                    resilience,
-                    follows_session=rebase is not None,
+                    backend=backend,
+                    evaluator_cls=evaluator_cls,
+                    resilience=resilience,
+                    follows_deltas=rebase is not None,
                 )
-                self._runners[runner_key] = runner
+            else:
+                # The attached model's full-database factor graph, when
+                # there is one, gates the split: a factor spanning two
+                # shards raises ShardingError before any worker starts.
+                graph = getattr(self._model, "graph", None)
+                if graph is None:
+                    graph = getattr(
+                        getattr(self._model, "model", None), "graph", None
+                    )
+                units = ShardedEvaluator(
+                    self.database,
+                    self._shard_factory,
+                    [query],
+                    shards,
+                    partitioner=partitioner,
+                    chains=chains,
+                    backend=backend,
+                    evaluator_cls=evaluator_cls,
+                    validate_graph=graph,
+                    resilience=resilience,
+                )
+            runner = self._runners[runner_key] = _UnitRunner(units)
             return runner
         if self._chain is None:
             raise EvaluationError(
@@ -1005,7 +846,7 @@ class Session:
                 restricted = self._targeted_chain(key, plan)
                 if restricted is not None:
                     chain, targeted = restricted, True
-            runner = _ChainRunner(
+            runner = ChainRunner(
                 cls(self.database, chain, [plan]), targeted=targeted
             )
             self._runners[runner_key] = runner
@@ -1102,8 +943,7 @@ class Session:
         by_kind: dict[str, int] = {}
         dead = 0
         for key in self._runners:
-            kind = key[1] if len(key) > 1 else "chain"
-            by_kind[kind] = by_kind.get(kind, 0) + 1
+            by_kind[key[1]] = by_kind.get(key[1], 0) + 1
             backend = getattr(self._runners[key], "backend", None)
             if backend is not None and backend.closed:
                 dead += 1

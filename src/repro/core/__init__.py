@@ -7,17 +7,21 @@ membership (Eq. 5):
 * :class:`NaiveEvaluator` — Algorithm 3: full query per sample;
 * :class:`MaterializedEvaluator` — Algorithm 1: one full query, then
   incremental view maintenance per sample;
-* :class:`ParallelEvaluator` — §5.4: pooled independent chains;
-* :class:`ShardedEvaluator` — §5.4's data-parallel axis: one factor
-  graph + chain per database shard, union-merged marginals;
+* :class:`ShardedEvaluator` — §5.4's two parallel axes through one
+  evaluator: :meth:`~ShardedEvaluator.over_copies` pools independent
+  chains over world copies (one unsplit slot), and the shard layout
+  runs one factor graph + chain per database shard with union-merged
+  marginals;
+* :class:`ChainRunner` — anytime continuation of one evaluator's chain;
 * :class:`MarginalEstimator`, :class:`LossTrace`, metrics — the
   measurement apparatus of §5.
 """
 
-from repro.core.anytime import LossTrace
+from repro.core.anytime import ChainRunner, LossTrace
 from repro.core.backends import (
     BACKENDS,
     ChainBackend,
+    ChainFactory,
     ProcessPoolBackend,
     SequentialBackend,
     make_backend,
@@ -40,7 +44,6 @@ from repro.core.metrics import (
     time_to_half,
 )
 from repro.core.naive import NaiveEvaluator
-from repro.core.parallel import ChainFactory, ParallelEvaluator
 from repro.core.sharded import (
     ShardChainFactory,
     ShardedEvaluator,
@@ -52,6 +55,7 @@ __all__ = [
     "BACKENDS",
     "ChainBackend",
     "ChainFactory",
+    "ChainRunner",
     "EvaluationResult",
     "ProcessPoolBackend",
     "SequentialBackend",
@@ -65,7 +69,6 @@ __all__ = [
     "graph_signature",
     "resolve_live_model",
     "supports_live_repair",
-    "ParallelEvaluator",
     "QueryEvaluator",
     "ShardChainFactory",
     "ShardedEvaluator",

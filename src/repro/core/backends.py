@@ -7,7 +7,7 @@ module adds the *wall-clock* benefit by running each chain in its own
 OS process.
 
 Two interchangeable backends drive a set of chains built by a
-:data:`~repro.core.parallel.ChainFactory`:
+:data:`ChainFactory`:
 
 * :class:`SequentialBackend` — chains run one after another in the
   calling process.  Deterministic, dependency-free, and the reference
@@ -81,6 +81,7 @@ __all__ = [
     "BACKENDS",
     "pool_estimators",
     "ChainBackend",
+    "ChainFactory",
     "ProcessPoolBackend",
     "SequentialBackend",
     "make_backend",
@@ -104,7 +105,7 @@ def default_worker_timeout() -> float | None:
     return value if value > 0 else None
 
 # Builds one chain's world and sampler: ``factory(chain_index) ->
-# (database_copy, chain)``.  (Re-exported by repro.core.parallel.)
+# (database_copy, chain)``.
 ChainFactory = Callable[[int], Tuple[Database, MarkovChain]]
 
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence
 
-from repro.core.parallel import ChainFactory, ParallelEvaluator
+from repro.core.backends import ChainFactory
+from repro.core.sharded import ShardedEvaluator
 
 __all__ = ["estimate_ground_truth"]
 
@@ -31,6 +32,6 @@ def estimate_ground_truth(
     are discarded per chain before counting (references should not
     include the initial transient away from the all-'O' world).
     """
-    evaluator = ParallelEvaluator(factory, queries, num_chains)
-    result = evaluator.run(samples_per_chain, burn_in=burn_in)
+    with ShardedEvaluator.over_copies(factory, queries, num_chains) as evaluator:
+        result = evaluator.run(samples_per_chain, burn_in=burn_in)
     return [estimator.probabilities() for estimator in result.estimators]

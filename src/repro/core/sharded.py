@@ -3,8 +3,8 @@
 The paper's Fig. 5 scales along two axes: *chain* parallelism (§5.4 —
 identical copies of the whole database, one chain each) and *data*
 parallelism — partition the database itself so each worker samples an
-independent sub-model.  PR 2 built the first axis; this module builds
-the second on top of the same chain backends:
+independent sub-model.  :class:`ShardedEvaluator` runs both axes over
+the same chain backends:
 
 1. a :class:`~repro.db.shard.ShardedDatabase` slices the world into K
    self-contained sub-databases along the workload's declared shard key
@@ -22,6 +22,13 @@ the second on top of the same chain backends:
 5. DML on the full database advances the units by delta
    (:meth:`ShardedEvaluator.advance`): each changed row is routed to
    the shard owning it and repaired there, in the same workers.
+
+Chain parallelism alone is the one-slot layout
+(:meth:`ShardedEvaluator.over_copies`): a single unsplit slot whose M
+units are world copies built by a
+:data:`~repro.core.backends.ChainFactory`, where the shard merge over
+one slot is exactly the cross-chain pooling and every delta goes whole
+to every copy.
 
 Soundness rests on the shards being probabilistically independent:
 :func:`validate_shardable_graph` checks that no instantiated factor
@@ -76,6 +83,7 @@ from repro.errors import EvaluationError, ShardingError
 from repro.mcmc.chain import MarkovChain
 from repro.core.backends import (
     ChainBackend,
+    ChainFactory,
     make_backend,
     pool_estimators,
     validate_backend_name,
@@ -255,7 +263,8 @@ class ShardedEvaluator:
     returns freshly merged global estimates, so repeated calls continue
     the same chains (anytime refinement); :meth:`advance` carries them
     across a change of the full database.  :meth:`close` releases the
-    workers.
+    workers.  :meth:`over_copies` builds the unsplit chain-parallel
+    layout instead.
 
     Parameters
     ----------
@@ -309,8 +318,6 @@ class ShardedEvaluator:
             raise ShardingError(f"need at least one shard, got {num_shards}")
         if chains < 1:
             raise EvaluationError("need at least one chain per shard")
-        if not queries:
-            raise EvaluationError("need at least one query")
         validate_backend_name(backend)
         spec = spec if spec is not None else getattr(shard_factory, "spec", None)
         if spec is None:
@@ -370,12 +377,75 @@ class ShardedEvaluator:
         # Rows of the shard table per slot, kept current across deltas:
         # a delta that would empty a slot falls back to a rebuild.
         self._slot_rows = [len(db.table(spec.table)) for _, db in occupied]
-        self._follows_deltas = getattr(shard_factory, "follows_deltas", True)
+        self._no_deltas_reason = (
+            None
+            if getattr(shard_factory, "follows_deltas", True)
+            else "the shard factory rewrites its shards' worlds, so the "
+            "database's rows cannot be applied to them"
+        )
         num_units = len(occupied) * chains
         self.unit_seeds = derive_unit_seeds(base_seed, num_units)
-        factory = _ShardUnitFactory(
-            [db for _, db in occupied], shard_factory, chains, self.unit_seeds
+        self._start(
+            _ShardUnitFactory(
+                [db for _, db in occupied], shard_factory, chains, self.unit_seeds
+            ),
+            num_units,
+            queries,
+            backend,
+            evaluator_cls,
+            resilience,
         )
+
+    @classmethod
+    def over_copies(
+        cls,
+        factory: ChainFactory,
+        queries: Sequence[str | PlanNode],
+        chains: int,
+        *,
+        backend: str = "sequential",
+        evaluator_cls: Type[QueryEvaluator] = MaterializedEvaluator,
+        resilience: Optional[ResilienceConfig] = None,
+        follows_deltas: bool = True,
+    ) -> "ShardedEvaluator":
+        """The chain-parallel layout (paper §5.4): one unsplit slot of
+        ``chains`` units, unit ``c`` running over the world copy
+        ``factory(c)`` builds.  Their estimators pool exactly as
+        independent chains do (the merge over one slot is a copy), and
+        :meth:`advance` sends the whole delta to every copy with no
+        shard gate.  ``follows_deltas=False`` declares that the
+        factory's worlds are not copies of the database the deltas
+        change (it cannot rebase onto it); :meth:`advance` then raises
+        and the caller rebuilds."""
+        self = cls.__new__(cls)
+        self.spec = None
+        self.sharded = None
+        self.num_shards = 1
+        self.chains = chains
+        self.shard_indexes = [0]
+        self.empty_shards = []
+        self._slot_rows = None
+        self.unit_seeds = []
+        self._no_deltas_reason = (
+            None
+            if follows_deltas
+            else "the chain factory cannot rebase, so its worlds are not "
+            "copies of the database the deltas change"
+        )
+        self._start(factory, chains, queries, backend, evaluator_cls, resilience)
+        return self
+
+    def _start(
+        self,
+        factory: ChainFactory,
+        num_units: int,
+        queries: Sequence[str | PlanNode],
+        backend: str,
+        evaluator_cls: Type[QueryEvaluator],
+        resilience: Optional[ResilienceConfig],
+    ) -> None:
+        if not queries:
+            raise EvaluationError("need at least one query")
         self.backend: ChainBackend = make_backend(backend, resilience=resilience)
         try:
             self.backend.start(factory, num_units, list(queries), evaluator_cls)
@@ -440,8 +510,11 @@ class ShardedEvaluator:
         replicated tables go to every slot.  Raises
         :class:`ShardingError` when a row cannot be placed: the
         partitioner rejects its key, or its shard was empty when the
-        evaluator was built.
+        evaluator was built.  The one-slot copies layout
+        (:meth:`over_copies`) returns the whole delta.
         """
+        if self.sharded is None:
+            return [delta]
         slot_of = {shard: slot for slot, shard in enumerate(self.shard_indexes)}
         routed = [Delta() for _ in self.shard_indexes]
         for table in delta.tables():
@@ -485,15 +558,12 @@ class ShardedEvaluator:
         never the whole graph).  Graphs with dynamic templates cannot
         certify a new variable's future neighbourhood, so a repair that
         adds variables to one raises as well, as does a shard factory
-        that rewrites its shards' worlds (``follows_deltas = False``).
-        Any raise means the caller must rebuild from the updated
-        database.
+        that rewrites its shards' worlds (``follows_deltas = False``) or a
+        copies layout whose factory cannot rebase.  Any raise means the
+        caller must rebuild from the updated database.
         """
-        if not self._follows_deltas:
-            raise ShardingError(
-                "the shard factory rewrites its shards' worlds, so the "
-                "database's rows cannot be applied to them"
-            )
+        if self._no_deltas_reason is not None:
+            raise EvaluationError(self._no_deltas_reason)
         if self.num_shards > 1:
             if repair is None or graph is None:
                 raise ShardingError(
@@ -509,14 +579,17 @@ class ShardedEvaluator:
                 graph, self.sharded, variables=repair.local_variables()
             )
         routed = self.route(delta)
-        rows = [
-            before + sum(count for _, count in part.for_table(self.spec.table).items())
-            for before, part in zip(self._slot_rows, routed)
-        ]
-        if 0 in rows:
-            raise ShardingError(
-                f"the delta would empty shard {self.shard_indexes[rows.index(0)]}"
-            )
+        rows = self._slot_rows
+        if rows is not None:
+            rows = [
+                before
+                + sum(count for _, count in part.for_table(self.spec.table).items())
+                for before, part in zip(rows, routed)
+            ]
+            if 0 in rows:
+                raise ShardingError(
+                    f"the delta would empty shard {self.shard_indexes[rows.index(0)]}"
+                )
         self.backend.advance([part for part in routed for _ in range(self.chains)])
         self._slot_rows = rows
 

@@ -216,8 +216,9 @@ class NerTask:
         )
 
     def chain_factory(self, base_seed: int = 0) -> "SeededChainFactory":
-        """A :data:`repro.core.parallel.ChainFactory` deriving chain
-        seeds from ``base_seed`` (for ParallelEvaluator / ground truth)."""
+        """A :data:`repro.core.backends.ChainFactory` deriving chain
+        seeds from ``base_seed`` (for ``ShardedEvaluator.over_copies``
+        and ground truth)."""
         return SeededChainFactory(self, base_seed)
 
     def shard_spec(self) -> ShardSpec:
@@ -250,7 +251,7 @@ class NerTask:
 
 
 class SeededChainFactory:
-    """A picklable :data:`~repro.core.parallel.ChainFactory` over a task.
+    """A picklable :data:`~repro.core.backends.ChainFactory` over a task.
 
     Pre-derives 1024 decorrelated chain seeds from ``base_seed`` (via
     :func:`repro.rng.spawn`) so ``factory(i)`` is a pure function of

@@ -4,11 +4,11 @@ The paper keeps MCMC chains *resident* — inference is a long-lived
 process queries tap into, not a per-request computation.  A
 :class:`ChainWorker` is one such resident chain: its own copy-on-write
 world (built through the attached chain factory, the PR-2 ``(db,
-chain)`` snapshot idiom), its own sampler state, and a cache of
-per-query evaluators sharing that chain, so repeated queries *continue*
-sampling instead of restarting — exactly the anytime contract of
-:class:`~repro.api.session.Session`'s runner cache, lifted out of the
-single-owner session into a leasable unit.
+chain)`` snapshot idiom), its own sampler state, and one
+:class:`~repro.core.anytime.ChainRunner` per query sharing that chain,
+so repeated queries *continue* sampling instead of restarting — the
+same runner :class:`~repro.api.session.Session` caches, lifted out of
+the single-owner session into a leasable unit.
 
 A :class:`WorkerPool` owns N such workers and leases them to concurrent
 requests with FIFO fairness: ``await acquire()`` either pops an idle
@@ -43,6 +43,7 @@ import time
 from collections import deque
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.core.anytime import ChainRunner
 from repro.core.materialized import MaterializedEvaluator
 from repro.db.database import Database, Snapshot
 from repro.errors import EvaluationError, ServeOverloadError
@@ -65,26 +66,6 @@ class WorkerRun:
         self.wall = wall
 
 
-class _WorkerQuery:
-    """One query's evaluator over the worker's chain; the initial world
-    counts as a sample only on the evaluator's first run (the
-    :class:`~repro.api.session.Session` ``_ChainRunner`` contract)."""
-
-    def __init__(self, evaluator: MaterializedEvaluator):
-        self.evaluator = evaluator
-        self.first = True
-
-    def run(self, samples: int, burn_in: int) -> None:
-        include_initial = self.first
-        self.first = False
-        self.evaluator.run(
-            samples, include_initial_sample=include_initial, burn_in=burn_in
-        )
-
-    def detach(self) -> None:
-        self.evaluator.detach()
-
-
 class ChainWorker:
     """One resident inference worker, leased exclusively per run."""
 
@@ -100,7 +81,7 @@ class ChainWorker:
         self.version = -1
         self.db: Optional[Database] = None
         self.chain: Optional[MarkovChain] = None
-        self._queries: Dict[str, _WorkerQuery] = {}
+        self._queries: Dict[str, ChainRunner] = {}
         self.last_used = time.monotonic()
         self.leased = False
         self.failed = False
@@ -126,8 +107,8 @@ class ChainWorker:
         self.rebases += 1
 
     def _drop_queries(self) -> None:
-        for query in self._queries.values():
-            query.detach()
+        for runner in self._queries.values():
+            runner.dispose()
         self._queries.clear()
 
     # ------------------------------------------------------------------
@@ -153,17 +134,17 @@ class ChainWorker:
                 # EvaluationError — which rides the normal poison→evict
                 # path below, exactly what the harness wants to test.
                 self._injector.on_run(self.runs)
-            query = self._queries.get(fingerprint)
-            if query is None:
-                query = _WorkerQuery(
+            runner = self._queries.get(fingerprint)
+            if runner is None:
+                runner = ChainRunner(
                     MaterializedEvaluator(self.db, self.chain, [plan])
                 )
-                self._queries[fingerprint] = query
-            query.run(samples, burn_in)
+                self._queries[fingerprint] = runner
+            runner.run(samples, burn_in)
         except Exception:
             self.failed = True
             raise
-        estimator = query.evaluator.estimators[0]
+        estimator = runner.evaluator.estimators[0]
         rows = tuple(
             row + (probability,)
             for row, probability in sorted(

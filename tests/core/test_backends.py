@@ -23,9 +23,9 @@ from repro.fg import Domain, FactorGraph, FieldVariable, UnaryTemplate, Weights
 from repro.mcmc import MarkovChain, MetropolisHastings, UniformLabelProposer
 from repro.core import (
     MaterializedEvaluator,
-    ParallelEvaluator,
     ProcessPoolBackend,
     SequentialBackend,
+    ShardedEvaluator,
     make_backend,
 )
 
@@ -93,10 +93,10 @@ class TestBackendEquivalence:
     def test_identical_pooled_marginals(self, chains):
         runs = {}
         for backend in ("sequential", "process"):
-            evaluator = ParallelEvaluator(
+            with ShardedEvaluator.over_copies(
                 SeededFactory(42), [QUERY], chains, backend=backend
-            )
-            result = evaluator.run(12, burn_in=2)
+            ) as evaluator:
+                result = evaluator.run(12, burn_in=2)
             runs[backend] = result.marginals.probabilities()
         assert runs["sequential"] == runs["process"]
 
@@ -106,9 +106,10 @@ class TestBackendEquivalence:
         db, chain = build_world(42)
         direct = MaterializedEvaluator(db, chain, [QUERY]).run(12, burn_in=2)
         for backend in ("sequential", "process"):
-            result = ParallelEvaluator(
+            with ShardedEvaluator.over_copies(
                 SeededFactory(42), [QUERY], 1, backend=backend
-            ).run(12, burn_in=2)
+            ) as evaluator:
+                result = evaluator.run(12, burn_in=2)
             assert (
                 result.marginals.probabilities()
                 == direct.marginals.probabilities()
@@ -173,9 +174,10 @@ class TestTimingSplit:
         )
 
     def test_process_reports_both_clocks(self):
-        result = ParallelEvaluator(
+        with ShardedEvaluator.over_copies(
             SeededFactory(5), [QUERY], 2, backend="process"
-        ).run(10)
+        ) as evaluator:
+            result = evaluator.run(10)
         assert result.wall_elapsed > 0
         assert result.cpu_elapsed > 0
         # Legacy alias points at wall-clock time.
@@ -187,15 +189,18 @@ class TestRegistry:
         with pytest.raises(EvaluationError, match="unknown backend"):
             make_backend("threads")
         with pytest.raises(EvaluationError, match="unknown backend"):
-            ParallelEvaluator(SeededFactory(1), [QUERY], 1, backend="threads")
+            ShardedEvaluator.over_copies(
+                SeededFactory(1), [QUERY], 1, backend="threads"
+            )
 
     def test_parallel_evaluator_chain_results(self):
-        evaluator = ParallelEvaluator(
+        with ShardedEvaluator.over_copies(
             SeededFactory(3), [QUERY], 2, backend="process"
-        )
-        evaluator.run(4)
-        assert len(evaluator.chain_results) == 2
-        for chain_result in evaluator.chain_results:
+        ) as evaluator:
+            evaluator.run(4)
+        chain_results = evaluator.backend.chain_results
+        assert len(chain_results) == 2
+        for chain_result in chain_results:
             assert chain_result.marginals.num_samples == 5  # initial + 4
 
 

@@ -21,7 +21,7 @@ from repro.core import (
     LossTrace,
     MaterializedEvaluator,
     NaiveEvaluator,
-    ParallelEvaluator,
+    ShardedEvaluator,
     estimate_ground_truth,
     squared_error,
 )
@@ -128,10 +128,10 @@ class TestParallel:
         return build
 
     def test_pooled_sample_count(self):
-        parallel = ParallelEvaluator(self.factory(), [QUERY], num_chains=4)
-        result = parallel.run(10)
+        with ShardedEvaluator.over_copies(self.factory(), [QUERY], 4) as parallel:
+            result = parallel.run(10)
         assert result.marginals.num_samples == 4 * 11
-        assert len(parallel.chain_results) == 4
+        assert len(parallel.backend.chain_results) == 4
 
     def test_more_chains_lower_error(self):
         db, graph, variables = make_world()
@@ -139,8 +139,10 @@ class TestParallel:
         truth = {(i,): exact[i]["pos"] for i in range(len(variables))}
 
         def error_with(chains):
-            parallel = ParallelEvaluator(self.factory(), [QUERY], num_chains=chains)
-            result = parallel.run(30)
+            with ShardedEvaluator.over_copies(
+                self.factory(), [QUERY], chains
+            ) as parallel:
+                result = parallel.run(30)
             return squared_error(result.marginals.probabilities(), truth)
 
         # Averaged over the pooled estimator, more chains should not be
@@ -149,7 +151,7 @@ class TestParallel:
 
     def test_zero_chains_rejected(self):
         with pytest.raises(EvaluationError):
-            ParallelEvaluator(self.factory(), [QUERY], num_chains=0)
+            ShardedEvaluator.over_copies(self.factory(), [QUERY], 0)
 
     def test_ground_truth_helper(self):
         truths = estimate_ground_truth(

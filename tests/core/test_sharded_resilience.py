@@ -3,7 +3,8 @@
 Each (shard, chain) unit is one supervised worker of the process
 backend, so checkpoint-resume must preserve the sharded result exactly:
 the union merge over shards is only as deterministic as every unit's
-sample stream.
+sample stream.  The delta tests also run the unsplit copies layout
+(``chains=2`` world copies), which gets every delta whole.
 """
 
 import pickle
@@ -105,20 +106,34 @@ def test_sequential_sharded_checkpoints(task, expected):
 
 
 def insert_and_advance(task, db, evaluator):
-    """Commit the INSERT on ``db`` and advance the shards by its delta,
+    """Commit the INSERT on ``db`` and advance the units by its delta,
     certified by a full-database model's repair (as a session does)."""
     model = SkipChainNerModel(db, weights=task.weights, use_skip=task.use_skip)
     _, delta = execute_dml(db, parse_statement(INSERT))
     evaluator.advance(delta, model.repair_from_delta(delta), model.graph)
 
 
-def run_across_insert(task, **kwargs):
+def two_shards(task, db, **kwargs):
+    return ShardedEvaluator(
+        db, task.shard_chain_factory(), [QUERY], 2, base_seed=5, **kwargs
+    )
+
+
+def two_copies(task, db, **kwargs):
+    factory = task.chain_factory(base_seed=5).rebased(db.snapshot())
+    return ShardedEvaluator.over_copies(factory, [QUERY], 2, **kwargs)
+
+
+# Both layouts run two units; shards merge to one sample count, copies
+# pool two.
+LAYOUTS = [(two_shards, 1), (two_copies, 2)]
+
+
+def run_across_insert(task, layout, **kwargs):
     """run(4), INSERT advanced by delta, run(4): the session's sequence
     for a read, a write and a read after it."""
     db = Database.from_snapshot(task._snapshot, "world")
-    with ShardedEvaluator(
-        db, task.shard_chain_factory(), [QUERY], 2, base_seed=5, **kwargs
-    ) as evaluator:
+    with layout(task, db, **kwargs) as evaluator:
         evaluator.run(4)
         insert_and_advance(task, db, evaluator)
         result = evaluator.run(4)
@@ -138,34 +153,35 @@ def run_across_insert(task, **kwargs):
 )
 def test_unit_kill_after_insert_recovers_bit_identical(task, faults):
     """Unit 1 dies during the first run after an INSERT; the recovered
-    marginals equal the uninterrupted run's, bit for bit."""
-    expected = run_across_insert(task)
-    config = ResilienceConfig(
-        store=MemoryCheckpointStore(),
-        checkpoint_every=3,
-        retry=FAST_RETRY,
-        fault_plan=FaultPlan({1: faults}),
-    )
-    probabilities, samples, respawns = run_across_insert(
-        task, backend="process", resilience=config
-    )
-    assert respawns == 1
-    assert (probabilities, samples) == expected[:2]
-    assert samples == 5
+    marginals equal the uninterrupted run's, bit for bit, for shards
+    and for copies."""
+    for layout, pooled in LAYOUTS:
+        expected = run_across_insert(task, layout)
+        config = ResilienceConfig(
+            store=MemoryCheckpointStore(),
+            checkpoint_every=3,
+            retry=FAST_RETRY,
+            fault_plan=FaultPlan({1: faults}),
+        )
+        probabilities, samples, respawns = run_across_insert(
+            task, layout, backend="process", resilience=config
+        )
+        assert respawns == 1
+        assert (probabilities, samples) == expected[:2]
+        assert samples == 5 * pooled
 
 
 def test_sequential_checkpoints_right_after_delta(task):
     """Sequential units checkpoint right after a delta, so a backend
     adopting the store resumes the post-delta world, not the
     pre-delta one."""
-    config = ResilienceConfig(store=MemoryCheckpointStore(), checkpoint_every=2)
-    db = Database.from_snapshot(task._snapshot, "world")
-    with ShardedEvaluator(
-        db, task.shard_chain_factory(), [QUERY], 2, base_seed=5, resilience=config
-    ) as evaluator:
-        evaluator.run(2)
-        insert_and_advance(task, db, evaluator)
-    latest = config.store.latest("chain:1")
-    assert latest.runs_completed == 2
-    adopted, *_ = pickle.loads(latest.payload)
-    assert adopted.table("TOKEN").contains_key((999999,))
+    for layout, _ in LAYOUTS:
+        config = ResilienceConfig(store=MemoryCheckpointStore(), checkpoint_every=2)
+        db = Database.from_snapshot(task._snapshot, "world")
+        with layout(task, db, resilience=config) as evaluator:
+            evaluator.run(2)
+            insert_and_advance(task, db, evaluator)
+        latest = config.store.latest("chain:1")
+        assert latest.runs_completed == 2
+        adopted, *_ = pickle.loads(latest.payload)
+        assert adopted.table("TOKEN").contains_key((999999,))
