@@ -62,7 +62,7 @@ from repro.api.plan_cache import CacheInfo, PlanCache, normalize_sql
 from repro.core.anytime import ChainRunner
 from repro.core.backends import ChainFactory, validate_backend_name
 from repro.core.evaluator import EvaluationResult
-from repro.core.live import IncrementalEvaluator, LiveRunner, resolve_live_model
+from repro.core.live import LiveRunner, resolve_live_model
 from repro.core.materialized import MaterializedEvaluator
 from repro.core.naive import NaiveEvaluator
 from repro.core.sharded import ShardChainFactory, ShardedEvaluator
@@ -833,13 +833,6 @@ class Session:
         runner_key = (key, evaluator, optimize)
         runner = self._runners.get(runner_key)
         if runner is None:
-            # The materialized strategy gets the repair-aware subclass
-            # so DML on a live model re-pools instead of invalidating.
-            cls = (
-                IncrementalEvaluator
-                if evaluator_cls is MaterializedEvaluator
-                else evaluator_cls
-            )
             chain = self._chain
             targeted = False
             if optimize:
@@ -847,7 +840,7 @@ class Session:
                 if restricted is not None:
                     chain, targeted = restricted, True
             runner = ChainRunner(
-                cls(self.database, chain, [plan]), targeted=targeted
+                evaluator_cls(self.database, chain, [plan]), targeted=targeted
             )
             self._runners[runner_key] = runner
         return runner

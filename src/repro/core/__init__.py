@@ -29,7 +29,6 @@ from repro.core.backends import (
 from repro.core.evaluator import EvaluationResult, QueryEvaluator
 from repro.core.ground_truth import estimate_ground_truth
 from repro.core.live import (
-    IncrementalEvaluator,
     LiveRunner,
     graph_signature,
     resolve_live_model,
@@ -60,7 +59,6 @@ __all__ = [
     "ProcessPoolBackend",
     "SequentialBackend",
     "make_backend",
-    "IncrementalEvaluator",
     "LiveRunner",
     "LossTrace",
     "MarginalEstimator",

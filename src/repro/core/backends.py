@@ -6,22 +6,26 @@ to eight independent MCMC chains.  Pooling their estimators yields the
 module adds the *wall-clock* benefit by running each chain in its own
 OS process.
 
-Two interchangeable backends drive a set of chains built by a
+One unit, two drivers.  A :class:`_Unit` is one chain's evaluator plus
+the counters its checkpoints carry; it restores, runs, advances by a
+DML delta (:func:`~repro.core.live.advance_unit`) and checkpoints
+itself.  Two interchangeable backends drive the units built by a
 :data:`ChainFactory`:
 
-* :class:`SequentialBackend` — chains run one after another in the
-  calling process.  Deterministic, dependency-free, and the reference
-  semantics: every other backend must produce bit-identical pooled
-  marginals for the same factory and seeds.
-* :class:`ProcessPoolBackend` — one worker process per chain.  Each
+* :class:`SequentialBackend` — a list of units run one after another
+  in the calling process.  Deterministic, dependency-free, and the
+  reference semantics: every other backend must produce bit-identical
+  pooled marginals for the same factory and seeds.
+* :class:`ProcessPoolBackend` — one worker process per unit.  Each
   worker receives a **pickled** ``(database, chain, queries)`` payload
-  (the paper's "identical copies of the probabilistic database"), builds
-  its own query evaluator, and keeps all chain state alive between
-  ``run()`` calls, so anytime refinement continues the same chains.
+  (the paper's "identical copies of the probabilistic database"),
+  restores its unit from it, and serves ``run`` and ``delta`` commands
+  over a pipe, so anytime refinement continues the same chains.  The
+  parent never builds an evaluator.
 
-Both backends also ``advance()`` their chains by a DML delta in place
-(:func:`~repro.core.live.advance_unit`) — in-process, or as a
-``("delta", ...)`` worker command — so a write does not cost a rebuild.
+:meth:`ChainBackend.start` is the one adopt-or-build loop for both: a
+chain with a stored checkpoint is resumed from it, any other is built
+by the factory.
 
 Determinism: a chain's sample stream is a pure function of its pickled
 RNG state, so ``sequential`` and ``process`` backends produce identical
@@ -32,15 +36,18 @@ whose products cannot cross a process boundary fails fast with a clear
 error rather than behaving differently per platform.
 
 Fault tolerance: with a :class:`~repro.resilience.ResilienceConfig`,
-workers stream chain checkpoints — ``(world, RNG state, estimator
-counts, progress)`` pickled at a sample boundary — and heartbeats back
-to the supervising parent.  A worker that dies or wedges is killed,
-respawned from its latest checkpoint, and driven through a *replay* of
-every command issued after that checkpoint; because the sample stream
-is a pure function of the checkpointed state, the recovered chain is
-bit-identical to one that never crashed.  Without a config nothing
-changes: no hooks fire, no extra messages flow, and a dead worker is a
-raised :class:`~repro.errors.WorkerCrashError` exactly as before.
+units checkpoint ``(world, RNG state, estimator counts, progress)`` at
+sample boundaries.  A process worker streams its checkpoints and
+heartbeats back to the supervising parent, counting progress from the
+checkpoint it was spawned from; the parent alone turns that into
+absolute checkpoint coordinates.  A worker that dies or wedges is
+killed, respawned from its latest checkpoint, and driven through a
+*replay* of every command issued after that checkpoint; because the
+sample stream is a pure function of the checkpointed state, the
+recovered chain is bit-identical to one that never crashed.  Without a
+config nothing changes: no hooks fire, no extra messages flow, and a
+dead worker is a raised :class:`~repro.errors.WorkerCrashError` with
+its exit code.
 
 Timing: :class:`EvaluationResult` reports the caller-observed
 ``wall_elapsed`` and the summed per-chain ``cpu_elapsed`` separately;
@@ -54,7 +61,7 @@ import os
 import pickle
 import time
 import traceback
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence, Tuple, Type
 
 from repro.db.database import Database
@@ -149,24 +156,109 @@ def serialize_chain_state(
         return pickle.dumps((db, chain, tuple(queries), evaluator_cls, est_state))
 
 
-def restore_evaluator(payload: bytes) -> QueryEvaluator:
-    """Rebuild a ready-to-run evaluator from :func:`serialize_chain_state`
-    output.  The evaluator's next sample is bit-identical to the one the
-    serialized chain would have produced."""
-    db, chain, queries, evaluator_cls, est_state = pickle.loads(payload)
-    evaluator = evaluator_cls(db, chain, queries)
-    if est_state is not None:
-        evaluator.estimators = [
-            MarginalEstimator.from_counts(counts, samples)
-            for counts, samples in est_state
-        ]
-    return evaluator
-
-
 def _chain_steps(chain) -> int:
     """Cumulative kernel proposals (checkpoint observability only)."""
     stats = getattr(getattr(chain, "kernel", None), "stats", None)
     return int(getattr(stats, "proposals", 0) or 0)
+
+
+class _Unit:
+    """One chain's evaluator plus the counters its checkpoints carry.
+
+    ``seq`` is the sequence number of the unit's latest checkpoint,
+    ``commands`` counts finished commands (runs and deltas) and
+    ``cpu_total`` the CPU seconds spent in them.  The sequential backend
+    keeps these absolute; a process worker starts them at zero and the
+    parent adds the checkpoint the worker was spawned from.
+    """
+
+    def __init__(
+        self,
+        evaluator: QueryEvaluator,
+        queries: Sequence,
+        seq: int = 0,
+        cpu_total: float = 0.0,
+    ) -> None:
+        self.evaluator = evaluator
+        self.queries = tuple(queries)
+        self.seq = seq
+        self.cpu_total = cpu_total
+        self.commands = 0
+        self._command_started: Optional[float] = None
+
+    @classmethod
+    def restore(cls, payload: bytes, seq: int = 0, cpu_total: float = 0.0) -> "_Unit":
+        """Rebuild a unit from :func:`serialize_chain_state` output.  Its
+        next sample is bit-identical to the one the serialized chain
+        would have produced."""
+        db, chain, queries, evaluator_cls, est_state = pickle.loads(payload)
+        evaluator = evaluator_cls(db, chain, queries)
+        if est_state is not None:
+            evaluator.estimators = [
+                MarginalEstimator.from_counts(counts, samples)
+                for counts, samples in est_state
+            ]
+        return cls(evaluator, queries, seq, cpu_total)
+
+    def run(
+        self, samples: int, burn_in: int, include_initial: bool, on_sample=None
+    ) -> float:
+        """One run command; returns its CPU seconds (burn-in included)."""
+        return self._command(
+            self.evaluator.run,
+            samples,
+            on_sample=on_sample,
+            include_initial_sample=include_initial,
+            burn_in=burn_in,
+        )
+
+    def advance(self, delta: Delta) -> float:
+        """One delta command; returns its CPU seconds."""
+        return self._command(advance_unit, self.evaluator, delta)
+
+    def _command(self, body, *args, **kwargs) -> float:
+        # CPU seconds, not wall time, so both backends account alike
+        # even when units contend for cores.
+        self._command_started = time.process_time()
+        body(*args, **kwargs)
+        cpu = time.process_time() - self._command_started
+        self._command_started = None
+        self.cpu_total += cpu
+        self.commands += 1
+        return cpu
+
+    def checkpoint(
+        self, key: str, records_done: int = 0, initial_recorded: bool = False
+    ) -> Checkpoint:
+        """The unit's state as its next checkpoint.  Taken mid-command
+        (from an ``on_sample`` hook), ``records_done`` samples into it,
+        the checkpoint's CPU total includes that command so far."""
+        self.seq += 1
+        cpu_total = self.cpu_total
+        if self._command_started is not None:
+            cpu_total += time.process_time() - self._command_started
+        evaluator = self.evaluator
+        return Checkpoint(
+            key=key,
+            seq=self.seq,
+            runs_completed=self.commands,
+            records_done=records_done,
+            initial_recorded=initial_recorded,
+            steps=_chain_steps(evaluator.chain),
+            payload=serialize_chain_state(
+                evaluator.db,
+                evaluator.chain,
+                self.queries,
+                type(evaluator),
+                evaluator.estimators,
+            ),
+            cpu_total=cpu_total,
+        )
+
+    def snapshot(self) -> List[MarginalEstimator]:
+        """A snapshot of the estimators, so results handed out now do
+        not change when the unit runs again."""
+        return [e.copy() for e in self.evaluator.estimators]
 
 
 class ChainBackend:
@@ -181,6 +273,15 @@ class ChainBackend:
 
     name = "abstract"
 
+    def __init__(self, resilience: ResilienceConfig | None = None) -> None:
+        self._started = False
+        self._closed = False
+        self._resilience = resilience
+        self._queries: Tuple = ()
+        self._evaluator_cls: Type[QueryEvaluator] = MaterializedEvaluator
+        # Per-chain cumulative results from the most recent run().
+        self.chain_results: List[EvaluationResult] = []
+
     def start(
         self,
         factory: ChainFactory,
@@ -188,6 +289,45 @@ class ChainBackend:
         queries: Sequence,
         evaluator_cls: Type[QueryEvaluator] = MaterializedEvaluator,
     ) -> None:
+        """Resume every chain that has a stored checkpoint, and build the
+        others with ``factory``."""
+        if num_chains < 1:
+            raise EvaluationError("need at least one chain")
+        store = self._store()
+        self._queries = tuple(queries)
+        self._evaluator_cls = evaluator_cls
+        try:
+            for index in range(num_chains):
+                key = self._key(index)
+                stored = store.latest(key) if store is not None else None
+                if stored is None:
+                    self._add_built(index, key, *factory(index))
+                    continue
+                # Supervisor restart: resume the stored state, re-based
+                # to this backend's (empty) command history so later
+                # replay math stays consistent.
+                stored = replace(
+                    stored,
+                    seq=stored.seq + 1,
+                    runs_completed=0,
+                    records_done=0,
+                    initial_recorded=False,
+                )
+                store.put(stored)
+                self._add_stored(index, stored)
+        except BaseException:
+            self.close()
+            raise
+        self._started = True
+
+    def _add_built(
+        self, index: int, key: str, db: Database, chain: MarkovChain
+    ) -> None:
+        """Take on a chain freshly built by the factory."""
+        raise NotImplementedError
+
+    def _add_stored(self, index: int, checkpoint: Checkpoint) -> None:
+        """Take on a chain resumed from ``checkpoint``."""
         raise NotImplementedError
 
     def run(
@@ -211,22 +351,11 @@ class ChainBackend:
     # ------------------------------------------------------------------
     # Shared bookkeeping
     # ------------------------------------------------------------------
-    def __init__(self, resilience: ResilienceConfig | None = None) -> None:
-        self._started = False
-        self._closed = False
-        self._resilience = resilience
-        # Per-chain cumulative results from the most recent run().
-        self.chain_results: List[EvaluationResult] = []
-
     @property
     def closed(self) -> bool:
         """Whether the backend has released its chains (a closed
         backend cannot run again; callers should rebuild)."""
         return self._closed
-
-    @property
-    def resilience(self) -> ResilienceConfig | None:
-        return self._resilience
 
     def _check_started(self) -> None:
         if self._closed:
@@ -241,6 +370,36 @@ class ChainBackend:
             return None
         return resil.ensure_store()
 
+    def _key(self, index: int) -> str:
+        resil = self._resilience
+        return resil.key_for(index) if resil is not None else f"chain:{index}"
+
+    def _seq0(self, key: str, db: Database, chain: MarkovChain) -> Checkpoint:
+        """The seq-0 checkpoint of a freshly built chain: recovery can
+        always assume a checkpoint exists, even before the first
+        cadence."""
+        try:
+            payload = serialize_chain_state(
+                db, chain, self._queries, self._evaluator_cls, None
+            )
+        except Exception as exc:
+            raise EvaluationError(
+                f"{self.name} backend requires picklable chain snapshots "
+                "(process workers and checkpoints ship them); "
+                f"{key} failed to pickle: {exc!r} "
+                "(closures in templates/proposers are the usual cause; "
+                "use bound methods or module-level functions)"
+            ) from exc
+        return Checkpoint(
+            key=key,
+            seq=0,
+            runs_completed=0,
+            records_done=0,
+            initial_recorded=False,
+            steps=_chain_steps(chain),
+            payload=payload,
+        )
+
     def __enter__(self) -> "ChainBackend":
         return self
 
@@ -249,14 +408,14 @@ class ChainBackend:
 
 
 class SequentialBackend(ChainBackend):
-    """Chains run one after another in the calling process.
+    """Units run one after another in the calling process.
 
     The deterministic fallback and reference implementation; also the
     right choice for a single chain or when worker start-up cost would
     dominate a short run.
 
-    With a resilience config the backend writes a checkpoint per chain
-    at every run boundary (and adopts existing checkpoints at
+    With a resilience config the backend writes a checkpoint per unit
+    after every command (and adopts existing checkpoints at
     ``start()``), which with a :class:`~repro.resilience.DiskCheckpointStore`
     survives the *calling process* — retries and fault injection do not
     apply in-process, where a worker crash is the caller's crash.
@@ -266,54 +425,21 @@ class SequentialBackend(ChainBackend):
 
     def __init__(self, resilience: ResilienceConfig | None = None) -> None:
         super().__init__(resilience)
-        self._evaluators: List[QueryEvaluator] = []
-        self._cpu_totals: List[float] = []
-        self._seqs: List[int] = []
-        self._runs_completed = 0
-        self._queries: Sequence = ()
-        self._evaluator_cls: Type[QueryEvaluator] = MaterializedEvaluator
+        self._units: List[_Unit] = []
 
-    def start(
-        self,
-        factory: ChainFactory,
-        num_chains: int,
-        queries: Sequence,
-        evaluator_cls: Type[QueryEvaluator] = MaterializedEvaluator,
+    def _add_built(
+        self, index: int, key: str, db: Database, chain: MarkovChain
     ) -> None:
-        if num_chains < 1:
-            raise EvaluationError("need at least one chain")
         store = self._store()
-        self._queries = tuple(queries)
-        self._evaluator_cls = evaluator_cls
-        for index in range(num_chains):
-            adopted = None
-            if store is not None:
-                key = self._resilience.key_for(index)
-                adopted = store.latest(key)
-            if adopted is not None:
-                self._evaluators.append(restore_evaluator(adopted.payload))
-                self._seqs.append(adopted.seq)
-                self._cpu_totals.append(adopted.cpu_total)
-                continue
-            db, chain = factory(index)
-            self._evaluators.append(evaluator_cls(db, chain, queries))
-            self._seqs.append(0)
-            self._cpu_totals.append(0.0)
-            if store is not None:
-                store.put(
-                    Checkpoint(
-                        key=self._resilience.key_for(index),
-                        seq=0,
-                        runs_completed=0,
-                        records_done=0,
-                        initial_recorded=False,
-                        steps=_chain_steps(chain),
-                        payload=serialize_chain_state(
-                            db, chain, self._queries, evaluator_cls, None
-                        ),
-                    )
-                )
-        self._started = True
+        if store is not None:
+            store.put(self._seq0(key, db, chain))
+        evaluator = self._evaluator_cls(db, chain, self._queries)
+        self._units.append(_Unit(evaluator, self._queries))
+
+    def _add_stored(self, index: int, checkpoint: Checkpoint) -> None:
+        self._units.append(
+            _Unit.restore(checkpoint.payload, checkpoint.seq, checkpoint.cpu_total)
+        )
 
     def run(
         self,
@@ -322,81 +448,39 @@ class SequentialBackend(ChainBackend):
         include_initial: bool = True,
     ) -> EvaluationResult:
         self._check_started()
-        store = self._store()
         started = time.perf_counter()
         cpu = 0.0
-        per_chain: List[List[MarginalEstimator]] = []
         self.chain_results = []
-        self._runs_completed += 1
-        for index, evaluator in enumerate(self._evaluators):
-            # Per-chain CPU seconds (burn-in included), not wall time,
-            # so the accounting matches what process workers report
-            # even when chains contend for cores.
-            chain_started = time.process_time()
-            evaluator.run(
-                samples_per_chain,
-                include_initial_sample=include_initial,
-                burn_in=burn_in,
-            )
-            chain_cpu = time.process_time() - chain_started
-            cpu += chain_cpu
-            self._cpu_totals[index] += chain_cpu
-            if store is not None:
-                self._checkpoint(store, index, evaluator)
-            # Snapshot the estimators (as process workers do) so results
-            # returned now don't mutate when the chains run again, and
-            # report cumulative per-chain CPU matching the process
-            # backend's accounting.
-            snapshot = [e.copy() for e in evaluator.estimators]
-            per_chain.append(snapshot)
+        for index, unit in enumerate(self._units):
+            cpu += unit.run(samples_per_chain, burn_in, include_initial)
+            self._checkpoint(index, unit)
             self.chain_results.append(
-                EvaluationResult(
-                    snapshot, self._cpu_totals[index], self._cpu_totals[index]
-                )
+                EvaluationResult(unit.snapshot(), unit.cpu_total, unit.cpu_total)
             )
         wall = time.perf_counter() - started
+        per_chain = [result.estimators for result in self.chain_results]
         return EvaluationResult(pool_estimators(per_chain), wall, cpu)
 
     def advance(self, deltas: Sequence[Delta]) -> None:
         self._check_started()
-        store = self._store()
-        # A delta is a completed command like a run, and is checkpointed
-        # at once: adoption must never resume a pre-delta world.
-        self._runs_completed += 1
-        for index, (evaluator, delta) in enumerate(zip(self._evaluators, deltas)):
-            chain_started = time.process_time()
-            advance_unit(evaluator, delta)
-            self._cpu_totals[index] += time.process_time() - chain_started
-            if store is not None:
-                self._checkpoint(store, index, evaluator)
+        for index, (unit, delta) in enumerate(zip(self._units, deltas)):
+            unit.advance(delta)
+            # A delta is a completed command like a run, and is
+            # checkpointed at once: adoption must never resume a
+            # pre-delta world.
+            self._checkpoint(index, unit)
 
-    def _checkpoint(self, store, index: int, evaluator: QueryEvaluator) -> None:
-        self._seqs[index] += 1
-        store.put(
-            Checkpoint(
-                key=self._resilience.key_for(index),
-                seq=self._seqs[index],
-                runs_completed=self._runs_completed,
-                records_done=0,
-                initial_recorded=False,
-                steps=_chain_steps(evaluator.chain),
-                payload=serialize_chain_state(
-                    evaluator.db,
-                    evaluator.chain,
-                    self._queries,
-                    self._evaluator_cls,
-                    evaluator.estimators,
-                ),
-                cpu_total=self._cpu_totals[index],
-            )
-        )
+    def _checkpoint(self, index: int, unit: _Unit) -> None:
+        store = self._store()
+        if store is not None:
+            store.put(unit.checkpoint(self._key(index)))
 
     def close(self) -> None:
-        for evaluator in self._evaluators:
-            detach = getattr(evaluator, "detach", None)
+        for unit in self._units:
+            detach = getattr(unit.evaluator, "detach", None)
             if detach is not None:
                 detach()
-        self._evaluators = []
+        self._units = []
         self._closed = True
 
 
@@ -405,63 +489,40 @@ class SequentialBackend(ChainBackend):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _WorkerConfig:
-    """Supervision knobs shipped to one worker incarnation.
-
-    ``seq_start`` is the sequence number of the checkpoint the worker
-    was built from (0 for a fresh chain); the worker's own checkpoints
-    continue from there, keeping sequence numbers monotonic across
-    incarnations.  ``records_base``/``initial_base`` describe how much
-    of the first (resumed, partial) run command the payload already
-    contains, so mid-run checkpoints taken while finishing it report
-    absolute progress.  ``cpu_base`` seeds cumulative CPU accounting.
-    """
+    """Supervision knobs shipped to one worker incarnation: checkpoint
+    and heartbeat cadences (in recorded samples) and its fault spec."""
 
     checkpoint_every: int
     heartbeat_every: int
-    seq_start: int = 0
-    records_base: int = 0
-    initial_base: bool = False
-    cpu_base: float = 0.0
     fault_spec: Optional[FaultSpec] = None
 
 
 class _ChainWorker:
-    """Worker-process side of the chain protocol.
+    """Worker-process side of the chain protocol: serves one
+    :class:`_Unit` over a pipe.
 
     Commands from the parent: ``("run", samples, burn_in,
-    include_initial)``, ``("delta", delta)`` (advance the chain by one
-    DML delta, :func:`~repro.core.live.advance_unit`) and ``("stop",)``.
-    Replies: ``("ok", estimators, cpu)`` per run or delta and
-    ``("error", traceback_text)`` on failure.  With a
-    :class:`_WorkerConfig`, ``("hb",)`` heartbeats and
-    ``("ckpt", seq, runs, records, initial, steps, payload, cpu)`` /
-    ``("ckpt_fail", seq, message)`` messages interleave ahead of the
-    ``ok`` — the parent treats any message as proof of life.
+    include_initial)``, ``("delta", delta)`` (advance the unit by one
+    DML delta) and ``("stop",)``.  Replies: ``("ok", estimators, cpu)``
+    per run or delta and ``("error", traceback_text)`` on failure.  With
+    a :class:`_WorkerConfig`, ``("hb",)`` heartbeats and ``("ckpt",
+    checkpoint)`` / ``("ckpt_fail", seq, message)`` messages interleave
+    ahead of the ``ok`` — the parent treats any message as proof of
+    life.  Checkpoints count from the state the worker was spawned
+    from: ``seq`` 1 is its first, ``runs_completed`` its own commands.
     """
 
     def __init__(self, conn, payload: bytes, config: Optional[_WorkerConfig]):
         self.conn = conn
         self.config = config
-        db, chain, queries, evaluator_cls, est_state = pickle.loads(payload)
-        self.queries = queries
-        self.evaluator_cls = evaluator_cls
-        self.evaluator = evaluator_cls(db, chain, queries)
-        if est_state is not None:
-            self.evaluator.estimators = [
-                MarginalEstimator.from_counts(counts, samples)
-                for counts, samples in est_state
-            ]
+        self.unit = _Unit.restore(payload)
         self.injector: Optional[FaultInjector] = None
         if config is not None and config.fault_spec is not None:
             self.injector = config.fault_spec.injector(pipe_dropper=conn.close)
-        self.seq = config.seq_start if config is not None else 0
-        self.cpu_total = config.cpu_base if config is not None else 0.0
+        self.checkpointing = config is not None and config.checkpoint_every > 0
         self.samples_total = 0
         self.last_ckpt_at = 0
-        self.runs_completed = 0
-        self.run_started = 0.0
-        self.current_records = 0
-        self.current_initial = False
+        self.include_initial = False
 
     # ------------------------------------------------------------------
     def serve(self) -> None:
@@ -473,102 +534,49 @@ class _ChainWorker:
             if message[0] == "stop":
                 return
             if message[0] == "delta":
-                self._advance(message[1])
-                continue
-            _, samples, burn_in, include_initial = message
-            self.current_records = 0
-            self.current_initial = include_initial
-            hook = self._on_sample if self.config is not None else None
-            self.run_started = time.process_time()  # this worker's CPU seconds
-            self.evaluator.run(
-                samples,
-                on_sample=hook,
-                include_initial_sample=include_initial,
-                burn_in=burn_in,
-            )
-            cpu = time.process_time() - self.run_started
-            self.cpu_total += cpu
-            self.runs_completed += 1
-            if (
-                self.config is not None
-                and self.config.checkpoint_every
-                and self.samples_total > self.last_ckpt_at
-            ):
-                # Run-boundary checkpoint: keeps the common recovery case
-                # (death between runs) replay-free.
-                self._checkpoint(0, False, self.cpu_total)
-            self.conn.send(
-                ("ok", [e.copy() for e in self.evaluator.estimators], cpu)
-            )
-
-    def _advance(self, delta: Delta) -> None:
-        started = time.process_time()
-        advance_unit(self.evaluator, delta)
-        cpu = time.process_time() - started
-        self.cpu_total += cpu
-        # Counted like a run command (replay indexes commands), and
-        # checkpointed at once so no respawn resumes a pre-delta world.
-        self.runs_completed += 1
-        if self.config is not None and self.config.checkpoint_every:
-            self._checkpoint(0, False, self.cpu_total)
-        self.conn.send(("ok", [e.copy() for e in self.evaluator.estimators], cpu))
+                cpu = self.unit.advance(message[1])
+                # Checkpointed at once so no respawn resumes a pre-delta
+                # world.
+                if self.checkpointing:
+                    self._checkpoint()
+            else:
+                _, samples, burn_in, self.include_initial = message
+                hook = self._on_sample if self.config is not None else None
+                cpu = self.unit.run(samples, burn_in, self.include_initial, hook)
+                if self.checkpointing and self.samples_total > self.last_ckpt_at:
+                    # Run-boundary checkpoint: keeps the common recovery
+                    # case (death between runs) replay-free.
+                    self._checkpoint()
+            self.conn.send(("ok", self.unit.snapshot(), cpu))
 
     # ------------------------------------------------------------------
     def _on_sample(self, index: int, elapsed: float, estimators) -> None:
         config = self.config
         assert config is not None
-        self.current_records = index + 1
         self.samples_total += 1
         if self.injector is not None:
             self.injector.on_sample(self.samples_total - 1)
         if self.samples_total % config.heartbeat_every == 0:
             self.conn.send(("hb",))
         if (
-            config.checkpoint_every
+            self.checkpointing
             and self.samples_total - self.last_ckpt_at >= config.checkpoint_every
         ):
-            cpu_now = self.cpu_total + (time.process_time() - self.run_started)
-            self._checkpoint(self.current_records, self.current_initial, cpu_now)
+            self._checkpoint(index + 1, self.include_initial)
 
     def _checkpoint(
-        self, records_done: int, initial_recorded: bool, cpu_now: float
+        self, records_done: int = 0, initial_recorded: bool = False
     ) -> None:
-        config = self.config
-        assert config is not None
-        seq = self.seq + 1
-        if self.runs_completed == 0:
-            # Still inside the first (possibly resumed-partial) command:
-            # fold in the progress the spawn payload already contained.
-            if records_done > 0:
-                records_done += config.records_base
-                initial_recorded = initial_recorded or config.initial_base
         try:
             if self.injector is not None:
-                self.injector.on_checkpoint(seq)
-            payload = serialize_chain_state(
-                self.evaluator.db,
-                self.evaluator.chain,
-                self.queries,
-                self.evaluator_cls,
-                self.evaluator.estimators,
-            )
-            self.conn.send(
-                (
-                    "ckpt",
-                    seq,
-                    self.runs_completed,
-                    records_done,
-                    initial_recorded,
-                    _chain_steps(self.evaluator.chain),
-                    payload,
-                    cpu_now,
-                )
-            )
+                self.injector.on_checkpoint(self.unit.seq + 1)
+            message = ("ckpt", self.unit.checkpoint("", records_done, initial_recorded))
         except CheckpointError as exc:
             # A failed checkpoint write must never kill a healthy chain;
             # it only widens the next recovery's replay window.
-            self.conn.send(("ckpt_fail", seq, str(exc)))
-        self.seq = seq
+            self.unit.seq += 1
+            message = ("ckpt_fail", self.unit.seq, str(exc))
+        self.conn.send(message)
         self.last_ckpt_at = self.samples_total
 
 
@@ -591,19 +599,18 @@ def _chain_worker_main(
 
 
 class _WorkerHandle:
-    """Parent-side view of one chain worker."""
+    """Parent-side view of one chain worker.  ``base`` is the checkpoint
+    the current incarnation was spawned from, without its payload: the
+    origin its reported progress counts from."""
 
-    def __init__(self, process, conn, index: int, key: str = ""):
-        self.process = process
-        self.conn = conn
+    def __init__(self, index: int, key: str):
         self.index = index
         self.key = key
+        self.process = None
+        self.conn = None
+        self.base: Optional[Checkpoint] = None
         self.cpu_total = 0.0
         self.incarnation = 0
-        # Absolute command index (runs and deltas) the current
-        # incarnation's local ``runs_completed`` counts from (0 for a
-        # fresh worker).
-        self.runs_base = 0
 
 
 class ProcessPoolBackend(ChainBackend):
@@ -614,15 +621,11 @@ class ProcessPoolBackend(ChainBackend):
     to a dedicated worker.  ``run()`` broadcasts a run command to all
     workers and gathers their cumulative estimators, so chains execute
     concurrently and anytime refinement (`run()` again) continues the
-    same chain state inside the same workers.
+    same chain state inside the same workers.  Each worker reply is
+    deadlined by ``REPRO_WORKER_TIMEOUT`` (:func:`default_worker_timeout`).
 
     Parameters
     ----------
-    timeout:
-        Seconds to wait for any single worker reply before declaring
-        the run failed (guards CI against hung workers).  ``None``
-        (default) reads the ``REPRO_WORKER_TIMEOUT`` environment
-        variable (600s); zero or negative disables the deadline.
     resilience:
         A :class:`~repro.resilience.ResilienceConfig` enables
         supervision: workers stream heartbeats and checkpoints, a dead
@@ -631,25 +634,17 @@ class ProcessPoolBackend(ChainBackend):
         and replayed up to the in-flight command, and ``start()``
         adopts checkpoints already in the store — the supervisor-restart
         path when the store is disk-backed.  ``None`` (default) keeps
-        the pre-existing fail-fast behavior.
+        the fail-fast behavior.
     """
 
     name = "process"
 
-    def __init__(
-        self,
-        timeout: float | None = None,
-        resilience: ResilienceConfig | None = None,
-    ):
+    def __init__(self, resilience: ResilienceConfig | None = None):
         super().__init__(resilience)
-        self.timeout = default_worker_timeout() if timeout is None else timeout
-        if self.timeout is not None and self.timeout <= 0:
-            self.timeout = None
+        self.timeout = default_worker_timeout()
         self._workers: List[_WorkerHandle] = []
         self._context = multiprocessing.get_context()
         self._commands: List[Tuple] = []
-        self._queries: Sequence = ()
-        self._evaluator_cls: Type[QueryEvaluator] = MaterializedEvaluator
         self._jitter_rng = make_rng(resilience.seed if resilience else 0)
         self.heartbeats = HeartbeatMonitor()
         self.respawns = 0
@@ -657,113 +652,49 @@ class ProcessPoolBackend(ChainBackend):
         self.checkpoints_skipped = 0
 
     # ------------------------------------------------------------------
-    def _worker_config(self, index: int, incarnation: int = 0) -> Optional[_WorkerConfig]:
-        resil = self._resilience
-        if resil is None:
-            return None
-        return _WorkerConfig(
-            checkpoint_every=resil.checkpoint_every,
-            heartbeat_every=resil.heartbeat_every,
-            fault_spec=(
-                resil.fault_plan.for_worker(index, incarnation)
-                if resil.fault_plan is not None
-                else None
-            ),
-        )
+    def _add_built(
+        self, index: int, key: str, db: Database, chain: MarkovChain
+    ) -> None:
+        checkpoint = self._seq0(key, db, chain)
+        store = self._store()
+        if store is not None:
+            store.put(checkpoint)
+        self._add_stored(index, checkpoint)
 
-    def _spawn(self, index: int, payload: bytes, config: Optional[_WorkerConfig]):
+    def _add_stored(self, index: int, checkpoint: Checkpoint) -> None:
+        worker = _WorkerHandle(index, checkpoint.key)
+        self._spawn(worker, checkpoint)
+        self._workers.append(worker)
+
+    def _spawn(self, worker: _WorkerHandle, checkpoint: Checkpoint) -> None:
+        """Start ``worker``'s current incarnation from ``checkpoint``."""
+        resil = self._resilience
+        config = None
+        if resil is not None:
+            plan = resil.fault_plan
+            config = _WorkerConfig(
+                checkpoint_every=resil.checkpoint_every,
+                heartbeat_every=resil.heartbeat_every,
+                fault_spec=(
+                    plan.for_worker(worker.index, worker.incarnation)
+                    if plan is not None
+                    else None
+                ),
+            )
         parent_conn, child_conn = self._context.Pipe(duplex=True)
         process = self._context.Process(
             target=_chain_worker_main,
-            args=(child_conn, payload, config),
+            args=(child_conn, checkpoint.payload, config),
             daemon=True,
-            name=f"repro-chain-{index}",
+            name=f"repro-chain-{worker.index}",
         )
         process.start()
         child_conn.close()  # the worker owns its end now
-        return process, parent_conn
-
-    def start(
-        self,
-        factory: ChainFactory,
-        num_chains: int,
-        queries: Sequence,
-        evaluator_cls: Type[QueryEvaluator] = MaterializedEvaluator,
-    ) -> None:
-        if num_chains < 1:
-            raise EvaluationError("need at least one chain")
-        store = self._store()
-        self._queries = tuple(queries)
-        self._evaluator_cls = evaluator_cls
-        try:
-            for index in range(num_chains):
-                key = (
-                    self._resilience.key_for(index)
-                    if self._resilience is not None
-                    else f"chain:{index}"
-                )
-                adopted = store.latest(key) if store is not None else None
-                if adopted is not None:
-                    # Supervisor restart: resume from the stored state,
-                    # re-baselined to this backend's (empty) command
-                    # history so later replay math stays consistent.
-                    baseline = Checkpoint(
-                        key=key,
-                        seq=adopted.seq + 1,
-                        runs_completed=0,
-                        records_done=0,
-                        initial_recorded=False,
-                        steps=adopted.steps,
-                        payload=adopted.payload,
-                        cpu_total=adopted.cpu_total,
-                    )
-                    store.put(baseline)
-                    config = self._worker_config(index)
-                    if config is not None:
-                        config = _WorkerConfig(
-                            checkpoint_every=config.checkpoint_every,
-                            heartbeat_every=config.heartbeat_every,
-                            seq_start=baseline.seq,
-                            cpu_base=baseline.cpu_total,
-                            fault_spec=config.fault_spec,
-                        )
-                    process, conn = self._spawn(index, baseline.payload, config)
-                    handle = _WorkerHandle(process, conn, index, key)
-                    handle.cpu_total = baseline.cpu_total
-                    self._workers.append(handle)
-                    continue
-                db, chain = factory(index)
-                try:
-                    payload = serialize_chain_state(
-                        db, chain, self._queries, evaluator_cls, None
-                    )
-                except Exception as exc:
-                    raise EvaluationError(
-                        "process backend requires picklable chain snapshots; "
-                        f"chain {index} failed to pickle: {exc!r} "
-                        "(closures in templates/proposers are the usual cause; "
-                        "use bound methods or module-level functions)"
-                    ) from exc
-                if store is not None:
-                    # Seq-0 baseline: recovery logic can always assume a
-                    # checkpoint exists, even before the first cadence.
-                    store.put(
-                        Checkpoint(
-                            key=key,
-                            seq=0,
-                            runs_completed=0,
-                            records_done=0,
-                            initial_recorded=False,
-                            steps=_chain_steps(chain),
-                            payload=payload,
-                        )
-                    )
-                process, conn = self._spawn(index, payload, self._worker_config(index))
-                self._workers.append(_WorkerHandle(process, conn, index, key))
-        except BaseException:
-            self.close()
-            raise
-        self._started = True
+        worker.process, worker.conn = process, parent_conn
+        # Dropping the payload keeps the parent from holding a world copy
+        # per worker.
+        worker.base = replace(checkpoint, payload=b"")
+        worker.cpu_total = checkpoint.cpu_total
 
     def worker_pids(self) -> List[int]:
         """PIDs of the live chain workers (for tests/monitoring)."""
@@ -789,36 +720,34 @@ class ProcessPoolBackend(ChainBackend):
     ) -> EvaluationResult:
         self._check_started()
         started = time.perf_counter()
-        command = ("run", samples_per_chain, burn_in, include_initial)
-        self._commands.append(command)
-        for worker in self._workers:
-            self._dispatch(worker, command)
-        per_chain: List[List[MarginalEstimator]] = []
-        cpu = 0.0
-        self.chain_results = []
-        for worker in self._workers:
-            reply = self._await_ok(worker, recover=True)
-            _, estimators, worker_cpu = reply
-            worker.cpu_total += worker_cpu
-            cpu += worker_cpu
-            per_chain.append(estimators)
-            self.chain_results.append(
-                EvaluationResult(estimators, worker.cpu_total, worker.cpu_total)
-            )
+        replies = self._broadcast(("run", samples_per_chain, burn_in, include_initial))
+        self.chain_results = [
+            EvaluationResult(estimators, worker.cpu_total, worker.cpu_total)
+            for worker, (_, estimators, _) in zip(self._workers, replies)
+        ]
         wall = time.perf_counter() - started
+        per_chain = [result.estimators for result in self.chain_results]
+        cpu = sum(reply[2] for reply in replies)
         return EvaluationResult(pool_estimators(per_chain), wall, cpu)
 
     def advance(self, deltas: Sequence[Delta]) -> None:
         self._check_started()
         # One history entry holds every worker's delta; _wire picks the
         # worker's own when the command is sent or replayed.
-        command = ("delta", tuple(deltas))
+        self._broadcast(("delta", tuple(deltas)))
+
+    def _broadcast(self, command: Tuple) -> List[Tuple]:
+        """Send ``command`` to every worker and gather their ``ok``
+        replies, recovering failed workers along the way."""
         self._commands.append(command)
         for worker in self._workers:
             self._dispatch(worker, command)
+        replies = []
         for worker in self._workers:
             reply = self._await_ok(worker, recover=True)
             worker.cpu_total += reply[2]
+            replies.append(reply)
+        return replies
 
     # ------------------------------------------------------------------
     # Supervision
@@ -834,13 +763,24 @@ class ProcessPoolBackend(ChainBackend):
         try:
             worker.conn.send(self._wire(worker, command))
         except (BrokenPipeError, OSError) as exc:
-            failure = WorkerCrashError(
-                f"chain worker {worker.index} is gone (pipe closed: {exc!r})",
-                worker_index=worker.index,
-            )
             # _recover leaves the current command dispatched to the
             # replacement worker, so the gather loop proceeds normally.
+            failure = self._crash(worker, f"is gone (pipe closed: {exc!r})")
             self._recover(worker, failure)
+
+    @staticmethod
+    def _crash(worker: _WorkerHandle, what: str) -> WorkerCrashError:
+        """The typed error for a dead or unreachable worker.  A brief
+        join lets a dying process settle, so a dead one reports its exit
+        code; a wedged-alive one (dropped pipe) reports ``None``."""
+        worker.process.join(timeout=0.5)
+        exit_code = worker.process.exitcode
+        detail = f" (exit code {exit_code})" if exit_code is not None else ""
+        return WorkerCrashError(
+            f"chain worker {worker.index} {what}{detail}",
+            worker_index=worker.index,
+            exit_code=exit_code,
+        )
 
     def _await_ok(self, worker: _WorkerHandle, *, recover: bool):
         """Pump one worker's messages until its ``ok`` reply.
@@ -863,7 +803,7 @@ class ProcessPoolBackend(ChainBackend):
                 self.heartbeats.beat(worker.key)
                 continue
             if kind == "ckpt":
-                self._store_checkpoint(worker, message)
+                self._store_checkpoint(worker, message[1])
                 continue
             if kind == "ckpt_fail":
                 self.checkpoints_skipped += 1
@@ -889,12 +829,10 @@ class ProcessPoolBackend(ChainBackend):
         the next call re-arms.  Raises :class:`WorkerTimeoutError` when
         the window empties and :class:`WorkerCrashError` when the
         process is found dead with nothing left in its pipe."""
+        window = self.timeout
         if self._resilience is not None:
-            window: float | None = self._resilience.heartbeat_timeout
-            if self.timeout is not None:
-                window = min(window, self.timeout)
-        else:
-            window = self.timeout
+            heartbeat = self._resilience.heartbeat_timeout
+            window = heartbeat if window is None else min(window, heartbeat)
         deadline = time.monotonic() + window if window is not None else None
         while True:
             if deadline is not None and time.monotonic() >= deadline:
@@ -909,21 +847,9 @@ class ProcessPoolBackend(ChainBackend):
                     return worker.conn.recv()
                 # EOFError on orderly close; OSError (e.g.
                 # ConnectionResetError) when the worker was killed with
-                # the pipe mid-write.  A dead process gets its exit
-                # code attached; a wedged-alive one (dropped pipe)
-                # reports None.
+                # the pipe mid-write.
                 except (EOFError, OSError):
-                    worker.process.join(timeout=0.5)
-                    exit_code = worker.process.exitcode
-                    detail = (
-                        f" (exit code {exit_code})" if exit_code is not None else ""
-                    )
-                    raise WorkerCrashError(
-                        f"chain worker {worker.index} exited "
-                        f"unexpectedly{detail}",
-                        worker_index=worker.index,
-                        exit_code=exit_code,
-                    ) from None
+                    raise self._crash(worker, "exited unexpectedly") from None
             if not worker.process.is_alive():
                 # Drain messages sent just before death (the pipe buffer
                 # outlives the process), then report.
@@ -932,26 +858,26 @@ class ProcessPoolBackend(ChainBackend):
                         return worker.conn.recv()
                     except (EOFError, OSError):
                         pass
-                raise WorkerCrashError(
-                    f"chain worker {worker.index} died "
-                    f"(exit code {worker.process.exitcode})",
-                    worker_index=worker.index,
-                    exit_code=worker.process.exitcode,
-                )
+                raise self._crash(worker, "died")
 
-    def _store_checkpoint(self, worker: _WorkerHandle, message) -> None:
-        _, seq, local_runs, records_done, initial_recorded, steps, payload, cpu = (
-            message
-        )
-        checkpoint = Checkpoint(
+    def _store_checkpoint(self, worker: _WorkerHandle, relative: Checkpoint) -> None:
+        """Store a worker checkpoint in absolute coordinates: the worker
+        counts from the checkpoint it was spawned from, which is added
+        back here and nowhere else."""
+        base = worker.base
+        # Inside its first command the worker may be finishing a command
+        # the base checkpoint was taken partway through.
+        partial = relative.runs_completed == 0 and relative.records_done > 0
+        checkpoint = replace(
+            relative,
             key=worker.key,
-            seq=seq,
-            runs_completed=worker.runs_base + local_runs,
-            records_done=records_done,
-            initial_recorded=initial_recorded,
-            steps=steps,
-            payload=payload,
-            cpu_total=cpu,
+            seq=base.seq + relative.seq,
+            runs_completed=base.runs_completed + relative.runs_completed,
+            records_done=relative.records_done
+            + (base.records_done if partial else 0),
+            initial_recorded=relative.initial_recorded
+            or (partial and base.initial_recorded),
+            cpu_total=base.cpu_total + relative.cpu_total,
         )
         try:
             self._resilience.store.put(checkpoint)
@@ -967,12 +893,11 @@ class ProcessPoolBackend(ChainBackend):
         the in-flight command, or raise if supervision is off / the
         retry budget is spent.  On return the current command has been
         dispatched to the replacement and its reply is pending."""
-        resil = self._resilience
         store = self._store()
         if store is None:
             self.close()
             raise failure
-        policy = resil.retry
+        policy = self._resilience.retry
         while True:
             attempt = worker.incarnation + 1
             if attempt >= policy.max_attempts:
@@ -993,24 +918,9 @@ class ProcessPoolBackend(ChainBackend):
             if pause > 0:
                 time.sleep(pause)
             worker.incarnation += 1
-            worker.runs_base = checkpoint.runs_completed
-            worker.cpu_total = checkpoint.cpu_total
             self.heartbeats.drop(worker.key)
             self.respawns += 1
-            config = self._worker_config(worker.index, worker.incarnation)
-            if config is not None:
-                config = _WorkerConfig(
-                    checkpoint_every=config.checkpoint_every,
-                    heartbeat_every=config.heartbeat_every,
-                    seq_start=checkpoint.seq,
-                    records_base=checkpoint.records_done,
-                    initial_base=checkpoint.initial_recorded,
-                    cpu_base=checkpoint.cpu_total,
-                    fault_spec=config.fault_spec,
-                )
-            worker.process, worker.conn = self._spawn(
-                worker.index, checkpoint.payload, config
-            )
+            self._spawn(worker, checkpoint)
             try:
                 self._replay(worker, checkpoint)
                 return

@@ -12,13 +12,13 @@ module is that claim operationalized:
   locally re-burns only the fresh/touched variables — **chain state for
   every untouched variable carries over**, which is where the ≥10×
   update speedup over rebuild-and-reburn comes from.
-* :class:`IncrementalEvaluator` is the materialized evaluator made
-  repair-aware: the DML delta flows through the same recorder the MCMC
-  samples use (views fold it in on the next answer), and
-  :meth:`~IncrementalEvaluator.notify_repair` re-pools the marginal
-  estimators in place — the posterior changed, so pre-update samples no
-  longer estimate it, and anytime cursors holding the estimators
-  observe the reset.
+* Any :class:`~repro.core.materialized.MaterializedEvaluator` is
+  repair-aware as it stands: the DML delta flows through the same
+  recorder the MCMC samples use (views fold it in on the next answer),
+  and :meth:`~repro.core.evaluator.QueryEvaluator.notify_repair`
+  re-pools the marginal estimators in place — the posterior changed, so
+  pre-update samples no longer estimate it, and anytime cursors holding
+  the estimators observe the reset.
 
 Composition with the execution backends is *advance-by-delta*: the
 sequential single-chain path repairs in place, and every multi-world
@@ -40,7 +40,6 @@ from __future__ import annotations
 from typing import Any, Optional
 
 from repro.core.evaluator import QueryEvaluator
-from repro.core.materialized import MaterializedEvaluator
 from repro.db.delta import Delta
 from repro.errors import LiveUpdateError
 from repro.fg.graph import FactorGraph, GraphRepair
@@ -48,7 +47,6 @@ from repro.mcmc.chain import MarkovChain
 from repro.mcmc.proposal import UniformLabelProposer
 
 __all__ = [
-    "IncrementalEvaluator",
     "LiveRunner",
     "advance_unit",
     "graph_signature",
@@ -95,21 +93,6 @@ def graph_signature(graph: FactorGraph) -> tuple:
         tuple(factors.keys()),
         graph.score(),
     )
-
-
-class IncrementalEvaluator(MaterializedEvaluator):
-    """A materialized evaluator that survives live graph repair.
-
-    Between runs, a DML statement lands in the attached delta recorder
-    exactly like an MCMC transition, so the materialized views stay
-    consistent with no extra machinery.  What does *not* survive an
-    update is the sample pool: the inherited
-    :meth:`~repro.core.evaluator.QueryEvaluator.notify_repair` resets
-    every estimator in place, re-pooling marginals over post-update
-    samples only.  The class exists as the named live surface (and the
-    hook point for update-aware view strategies); the repair contract
-    itself lives on the evaluator base.
-    """
 
 
 class LiveRunner:

@@ -3,9 +3,10 @@
 The paper's prototype kept worlds in Apache Derby on disk; our engine
 is memory-resident, so durability is provided by explicit snapshot
 files.  The format is line-oriented JSON: a header per table followed
-by one line per row.  It is deliberately simple — benchmarks persist
-generated corpora between runs and parallel workers load identical
-initial worlds.
+by one line per row.  It is deliberately simple and public API only:
+nothing else in the library uses it (benchmarks regenerate their
+corpora from seeds, and chain workers receive their worlds as pickled
+payloads, see :mod:`repro.core.backends`).
 """
 
 from __future__ import annotations

@@ -13,8 +13,9 @@ Semantics of :attr:`Fault.at` by context:
 
 * process chain workers — the ``at``-th recorded sample since the
   worker (incarnation) started, counting across run commands;
-* checkpoint faults (``kind="ckpt_fail"``) — the checkpoint sequence
-  number whose write fails;
+* checkpoint faults (``kind="ckpt_fail"``) — the worker incarnation's
+  ``at``-th checkpoint (counting from 1) fails to write; for a chain
+  built fresh by the factory this is the checkpoint sequence number;
 * serving-pool workers — the ``at``-th ``run()`` request on that
   worker.
 
@@ -50,7 +51,7 @@ class Fault:
     the pipe and wedge: alive but permanently silent), ``"slow"``
     (sleep ``seconds`` before continuing — heartbeat-visible slowness
     when short, indistinguishable from wedged when long), ``"ckpt_fail"``
-    (the checkpoint write at seq ``at`` raises), ``"fail"`` (raise a
+    (the worker's ``at``-th checkpoint write raises), ``"fail"`` (raise a
     plain exception from the work itself — the serving pool's
     poisoned-worker path).
     """

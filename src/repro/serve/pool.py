@@ -224,6 +224,10 @@ class WorkerPool:
         self.leases = 0
         self.evictions = 0
         self.reaped = 0
+        # Rebases and runs of evicted workers, so the pool's totals
+        # stay cumulative instead of dropping at every eviction.
+        self._evicted_rebases = 0
+        self._evicted_runs = 0
 
     # ------------------------------------------------------------------
     def start(self, snapshot: Snapshot) -> None:
@@ -323,6 +327,8 @@ class WorkerPool:
             self._workers.remove(worker)
             self.heartbeats.drop(f"worker-{worker.index}")
             self.evictions += 1
+            self._evicted_rebases += worker.rebases
+            self._evicted_runs += worker.runs
             self._schedule_replacement()
             return
         self.heartbeats.beat(f"worker-{worker.index}")
@@ -388,8 +394,8 @@ class WorkerPool:
             "leases": self.leases,
             "evictions": self.evictions,
             "replacing": len(self._replacements),
-            "rebases": sum(w.rebases for w in self._workers),
-            "runs": sum(w.runs for w in self._workers),
+            "rebases": self._evicted_rebases + sum(w.rebases for w in self._workers),
+            "runs": self._evicted_runs + sum(w.runs for w in self._workers),
             "reaped": self.reaped,
             "versions": sorted({w.version for w in self._workers}),
             "heartbeats": {

@@ -55,7 +55,7 @@ class TestShardedInvalidation:
         # pre-update samples were dropped: counts restart, with the
         # repaired world as the first sample
         assert second.num_samples == 5
-        shard_dbs = [unit.db for unit in runner.evaluator.backend._evaluators]
+        shard_dbs = [unit.evaluator.db for unit in runner.evaluator.backend._units]
         total = sum(len(db.table("TOKEN")) for db in shard_dbs)
         assert total == num_tokens + 1
         assert sum(db.table("TOKEN").contains_key((999999,)) for db in shard_dbs) == 1
@@ -74,8 +74,8 @@ class TestShardedInvalidation:
         second = session.execute(QUERY, samples=3, chains=2)
         assert second.num_samples == 2 * 4
         # every chain's full world copy received the whole delta
-        for evaluator in runner.backend._evaluators:
-            assert len(evaluator.db.table("TOKEN")) == num_tokens + 1
+        for unit in runner.backend._units:
+            assert len(unit.evaluator.db.table("TOKEN")) == num_tokens + 1
         session.close()
 
 
@@ -91,7 +91,9 @@ def chain_worlds(runner, store):
     """(database, model) of every chain: in-process evaluators for the
     sequential backend, the latest checkpoints for worker processes."""
     if store is None:
-        return [(e.db, e.chain.model) for e in runner.backend._evaluators]
+        return [
+            (u.evaluator.db, u.evaluator.chain.model) for u in runner.backend._units
+        ]
     worlds = []
     for key in sorted(store.keys(), key=lambda k: int(k.split(":")[1])):
         db, chain, *_ = pickle.loads(store.latest(key).payload)

@@ -290,7 +290,8 @@ def unit_worlds(runner, store):
     evaluators for the sequential backend, the latest checkpoints for
     worker processes."""
     if store is None:
-        return [(e.db, e.chain.model) for e in runner.evaluator.backend._evaluators]
+        units = runner.evaluator.backend._units
+        return [(u.evaluator.db, u.evaluator.chain.model) for u in units]
     worlds = []
     for key in sorted(store.keys(), key=lambda k: int(k.split(":")[1])):
         db, chain, *_ = pickle.loads(store.latest(key).payload)
@@ -419,8 +420,8 @@ class TestDeltaFallback:
         assert [k for k in session._runners if k[1] == "sharded"] == []
         rebuilt = self.assert_rebuilt(session, runner, opts)
         total = sum(
-            len(unit.db.table("TOKEN"))
-            for unit in rebuilt.evaluator.backend._evaluators
+            len(unit.evaluator.db.table("TOKEN"))
+            for unit in rebuilt.evaluator.backend._units
         )
         assert total == len(pipeline.db.table("TOKEN"))
         session.close()
@@ -550,7 +551,7 @@ class TestDeltaFallback:
             assert rebuilt is not runner
             assert cursor.num_samples == 3
             split = rebuilt.evaluator.sharded.split()
-            units = rebuilt.evaluator.backend._evaluators
+            units = [u.evaluator for u in rebuilt.evaluator.backend._units]
             for shard, unit in zip(rebuilt.evaluator.shard_indexes, units):
                 table = unit.db.table("MENTION")
                 cluster = table.schema.position("CLUSTER")

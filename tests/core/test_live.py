@@ -1,6 +1,6 @@
 """Unit tests for the live-update subsystem (ISSUE 5).
 
-:class:`LiveRunner` + :class:`IncrementalEvaluator` over the NER model:
+:class:`LiveRunner` + :class:`MaterializedEvaluator` over the NER model:
 repair wiring, proposer resync, local re-burn, estimator re-pooling,
 and the graph-signature bit-identity contract.
 """
@@ -8,12 +8,12 @@ and the graph-signature bit-identity contract.
 import pytest
 
 from repro.core.live import (
-    IncrementalEvaluator,
     LiveRunner,
     graph_signature,
     resolve_live_model,
     supports_live_repair,
 )
+from repro.core.materialized import MaterializedEvaluator
 from repro.errors import LiveUpdateError
 from repro.ie.ner.model import SkipChainNerModel, fit_generative_weights
 from repro.ie.ner.pdb import NerTask, build_token_database
@@ -210,7 +210,7 @@ class TestIncrementalEvaluator:
     def test_views_fold_dml_and_estimators_repool(self):
         db, model = make_model()
         chain = make_chain(model)
-        evaluator = IncrementalEvaluator(db, chain, [self.QUERY])
+        evaluator = MaterializedEvaluator(db, chain, [self.QUERY])
         evaluator.run(4)
         assert evaluator.estimators[0].num_samples == 5
         delta = capture_delta(
@@ -232,7 +232,7 @@ class TestIncrementalEvaluator:
     def test_estimator_reset_observed_by_existing_handles(self):
         db, model = make_model()
         chain = make_chain(model)
-        evaluator = IncrementalEvaluator(db, chain, [self.QUERY])
+        evaluator = MaterializedEvaluator(db, chain, [self.QUERY])
         result = evaluator.run(3)
         handle = result.estimators[0]
         evaluator.notify_repair(None)

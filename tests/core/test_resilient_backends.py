@@ -100,6 +100,25 @@ class TestKillRecovery:
         assert result.marginals.probabilities() == expected[0]
         assert result.marginals.num_samples == expected[1]
 
+    def test_repeated_death_inside_resumed_command(self, expected):
+        # Worker 0 dies at its 5th recorded sample in every incarnation.
+        # Each replacement resumes from a checkpoint taken partway into
+        # a command and dies again before finishing it, so its own
+        # mid-command checkpoints must add the progress its spawn
+        # checkpoint already held in that command.
+        plan = FaultPlan({0: [Fault("kill", at=4, all_incarnations=True)]})
+        config = resil(
+            plan,
+            checkpoint_every=2,
+            retry=RetryPolicy(max_attempts=12, base_delay=0.0, jitter=0),
+        )
+        with ProcessPoolBackend(resilience=config) as backend:
+            result = run_two_phase(backend)
+            respawns = backend.stats()["respawns"]
+        assert respawns >= 3
+        assert result.marginals.probabilities() == expected[0]
+        assert result.marginals.num_samples == expected[1]
+
     def test_checkpoints_land_in_the_store(self):
         config = resil()
         with ProcessPoolBackend(resilience=config) as backend:
@@ -195,6 +214,20 @@ class TestTypedFailures:
         backend = ProcessPoolBackend()
         backend.start(SeededFactory(21), 1, [QUERY])
         os.kill(backend.worker_pids()[0], signal.SIGKILL)
+        with pytest.raises(WorkerCrashError) as err:
+            backend.run(5)
+        assert err.value.exit_code == -signal.SIGKILL
+        assert err.value.worker_index == 0
+        assert backend.closed
+
+    def test_worker_found_dead_at_dispatch_reports_exit_code(self):
+        # The worker is dead and reaped before the next command: the
+        # send fails, and the typed error must still carry the exit
+        # code.
+        backend = ProcessPoolBackend()
+        backend.start(SeededFactory(21), 1, [QUERY])
+        os.kill(backend.worker_pids()[0], signal.SIGKILL)
+        backend._workers[0].process.join()
         with pytest.raises(WorkerCrashError) as err:
             backend.run(5)
         assert err.value.exit_code == -signal.SIGKILL

@@ -182,7 +182,7 @@ class TestShardedLiveUpdateGof:
         runner = next(r for k, r in session._runners.items() if k[1] == "sharded")
         session.execute(INSERT)  # doc 0: shard 0, slot 0
         assert session.stats()["runners"]["delta_advances"] == 1
-        unit = runner.evaluator.backend._evaluators[0]
+        unit = runner.evaluator.backend._units[0].evaluator
         model = unit.chain.model
         rebuilt = SkipChainNerModel(unit.db, weights=model.weights, domain=BIO2)
         assert graph_signature(model.graph) == graph_signature(rebuilt.graph)

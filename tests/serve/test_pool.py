@@ -158,6 +158,26 @@ class TestRunsAndVersions:
         assert stats["replacing"] == 0
         pool.close()
 
+    def test_counters_survive_eviction(self):
+        """Regression: rebases and runs were summed over live workers
+        only, so evicting a worker made the pool's totals drop."""
+        _, session, pool = make_pool(size=1)
+        fingerprint, plan = plan_for(session)
+        worker = pool._idle.popleft()
+        worker.leased = True
+        worker.run(fingerprint, plan, 2)
+        session.execute(
+            "INSERT INTO TOKEN VALUES (999999, 0, 'Zanzibar', 'B-PER', 'B-PER')"
+        )
+        worker.rebase(session.database.snapshot())
+        assert (pool.stats()["rebases"], pool.stats()["runs"]) == (1, 1)
+        worker.failed = True
+        pool.release(worker)
+        stats = pool.stats()
+        assert stats["evictions"] == 1
+        assert (stats["rebases"], stats["runs"]) == (1, 1)
+        pool.close()
+
     def test_replacement_builds_off_the_event_loop(self):
         """Regression: release() used to build the replacement worker
         synchronously on the loop thread, freezing every tenant for a
